@@ -13,32 +13,21 @@ speedups -- incremental-vs-pipeline and pipeline-vs-serial -- which are
 corpus-size-stable: the fresh run fails if either ratio drops more than
 ``tolerance`` (default 20%) below the baseline's.
 
-Pool-relative ratios are **not** stable across core counts: on a
-single-core host ``strategy="parallel"`` / ``"parallel-incremental"``
-degrade to in-process runners, while a multi-core runner spins a real
-process pool, shifting them for reasons that have nothing to do with a
-code regression.  Each timed strategy therefore records its host shape
-(``strategies.<name>.cpu_count`` / ``.workers``) and its ratios are
-only gated when the fresh run's shape for *that strategy* matches the
-baseline's (older baselines without the per-strategy record fall back
-to comparing the global ``environment.cpu_count``).  The
-incremental-vs-serial speedup *is* host-shape-stable (both strategies
-run single-threaded everywhere), so it is gated unconditionally --
-that is the ratio that catches a broken warm-session subsystem on any
-CI host.
+Each timed strategy records its host shape
+(``strategies.<name>.cpu_count`` / ``.workers``) and the
+pipeline-relative ratios are only gated when the fresh run's shape for
+the pipeline matches the baseline's (older baselines without the
+per-strategy record fall back to comparing the global
+``environment.cpu_count``).  The incremental-vs-serial speedup is
+host-shape-stable (both strategies run single-threaded everywhere), so
+it is gated unconditionally -- that is the ratio that catches a broken
+warm-session subsystem on any CI host.
 
 The persistent-cache record (``persistent_cache.cold`` / ``.warm``) is
-gated *within* the fresh run: the warm pass must hit at least as often
-as the cold pass, or the cross-run store is not actually warm-starting.
-``--require-parallel-incremental`` additionally fails a fresh run that
-lacks the ``parallel_incremental_seconds`` / ``persistent_cache`` /
-``shard_scheduler`` fields entirely (CI passes it so the bench cannot
-silently stop measuring the subsystem).  The ``shard_scheduler`` record
-is also gated within the fresh run when the parallel-incremental
-strategy ran a real pool: per-worker utilization must be recorded for
-every worker, and no worker may have run zero chunks while work
-stealing was on -- a starved worker behind a healthy-looking aggregate
-speedup is exactly what the record exists to catch.
+required in the fresh run, so the bench cannot silently stop measuring
+it, and is gated *within* the fresh run: the warm pass must hit at
+least as often as the cold pass, or the cross-run store is not actually
+warm-starting.
 
 Result rows (per-benchmark ec/at/cc/rr counts) are compared exactly for
 every benchmark present in both runs: a count drift is a correctness
@@ -96,48 +85,14 @@ def check(
     baseline: dict,
     tolerance: float,
     time_tolerance: float = 0.75,
-    require_parallel_incremental: bool = False,
 ) -> list:
     failures = []
 
-    if require_parallel_incremental:
-        if "parallel_incremental_seconds" not in fresh:
-            failures.append(
-                "fresh run is missing parallel_incremental_seconds "
-                "(required field)"
-            )
-        if "persistent_cache" not in fresh:
-            failures.append(
-                "fresh run is missing the persistent_cache record "
-                "(required field)"
-            )
-        if "shard_scheduler" not in fresh:
-            failures.append(
-                "fresh run is missing the shard_scheduler record "
-                "(required field)"
-            )
-
-    # Scheduler honesty, within the fresh run: a multi-worker
-    # parallel-incremental run must carry per-worker utilization, and a
-    # worker that did no chunks at all means the work-stealing scheduler
-    # is broken (steals should have drained the skew).  Single-worker
-    # (degraded in-process) runs record zeros by design and are exempt.
-    shards = fresh.get("shard_scheduler") or {}
-    _, pi_workers = strategy_shape(fresh, "parallel_incremental")
-    if pi_workers is not None and pi_workers > 1:
-        utilization = shards.get("shard_utilization") or []
-        if len(utilization) != pi_workers:
-            failures.append(
-                f"shard_scheduler records {len(utilization)} worker "
-                f"utilizations for {pi_workers} workers"
-            )
-        if shards.get("work_stealing") and any(
-            w.get("chunks", 0) == 0 for w in shards.get("workers", [])
-        ):
-            failures.append(
-                "a shard worker ran zero chunks despite work stealing "
-                f"(steal_count={shards.get('steal_count')})"
-            )
+    if "persistent_cache" not in fresh:
+        failures.append(
+            "fresh run is missing the persistent_cache record "
+            "(required field)"
+        )
 
     # Warm-start gate, within the fresh run: a second pass over the
     # persistent store must hit at least as often as the first.
@@ -201,20 +156,6 @@ def check(
             f"{strategy_shape(fresh, 'pipeline')}); "
             "pipeline-relative ratios reported but not gated"
         )
-    if same_shape(fresh, baseline, "parallel_incremental"):
-        gates.append(
-            (
-                "parallel_incremental_speedup_vs_incremental",
-                "parallel-incremental-vs-incremental speedup",
-            )
-        )
-    else:
-        print(
-            "parallel-incremental host shape differs "
-            f"({strategy_shape(baseline, 'parallel_incremental')} -> "
-            f"{strategy_shape(fresh, 'parallel_incremental')}); "
-            "its ratio reported but not gated"
-        )
 
     for key, label in gates:
         base_value = baseline.get(key)
@@ -249,12 +190,6 @@ def main(argv=None) -> int:
         help="allowed fractional per-benchmark repair_seconds increase "
         "on same-shape hosts before failing (default 0.75)",
     )
-    parser.add_argument(
-        "--require-parallel-incremental",
-        action="store_true",
-        help="fail if the fresh run lacks parallel_incremental_seconds "
-        "or the persistent_cache record",
-    )
     args = parser.parse_args(argv)
 
     fresh = load(args.fresh)
@@ -264,15 +199,12 @@ def main(argv=None) -> int:
         baseline,
         args.tolerance,
         args.time_tolerance,
-        require_parallel_incremental=args.require_parallel_incremental,
     )
 
     persistent = fresh.get("persistent_cache") or {}
     print(
         f"fresh: pipeline {fresh.get('speedup')}x, "
         f"incremental {fresh.get('incremental_speedup_vs_pipeline')}x, "
-        f"parallel-incremental "
-        f"{fresh.get('parallel_incremental_speedup_vs_incremental')}x, "
         f"warm cache hit-rate "
         f"{(persistent.get('warm') or {}).get('hit_rate')} | "
         f"baseline: pipeline {baseline.get('speedup')}x, "

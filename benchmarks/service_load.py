@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import threading
 import time
 import urllib.error
@@ -147,12 +148,14 @@ def submit_and_wait(
 
 
 def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (no interpolation, no numpy)."""
+    """Nearest-rank percentile (no interpolation, no numpy): the
+    smallest value with at least ``q`` per cent of the samples at or
+    below it."""
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(1, int(round(q / 100.0 * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
+    rank = min(max(math.ceil(q * len(ordered) / 100.0), 1), len(ordered))
+    return ordered[rank - 1]
 
 
 def run_load(

@@ -19,7 +19,9 @@ Environment knobs:
 
 - ``LIVE_BENCH_CORPUS=small`` restricts to a three-benchmark smoke
   subset (the CI benchmark job uses this);
-- ``LIVE_BENCH_OUT`` overrides the JSON output path.
+- ``LIVE_BENCH_OUT`` sets the JSON output path (default
+  ``benchmarks/out/BENCH_live.json``, git-ignored; point it at the
+  committed ``BENCH_live.json`` to refresh the baseline).
 """
 
 import json
@@ -49,7 +51,7 @@ def _corpus():
     return ALL_BENCHMARKS
 
 
-def test_live_bench(capsys):
+def test_live_bench(capsys, bench_out):
     corpus = _corpus()
     rows = []
     for bench in corpus:
@@ -120,7 +122,7 @@ def test_live_bench(capsys):
         },
         "rows": rows,
     }
-    out_path = os.environ.get("LIVE_BENCH_OUT", "BENCH_live.json")
+    out_path = bench_out("LIVE_BENCH_OUT", "BENCH_live.json")
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

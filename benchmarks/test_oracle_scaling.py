@@ -1,24 +1,24 @@
-"""Oracle execution scaling: serial seed loop vs parallel+cached
-pipeline vs incremental warm-solver sessions vs sharded
-parallel-incremental workers, plus the persistent cross-run cache.
+"""Oracle execution scaling: serial seed loop vs the cached pipeline vs
+incremental warm-solver sessions, plus the persistent cross-run cache.
 
 Runs the full-corpus Table 1 workload (repair fixpoint plus CC/RR
-sweeps) four ways -- the seed serial oracle, the PR 1 parallel+cached
-pipeline, the PR 2 incremental session strategy, and the PR 4
-parallel-incremental shard-worker pool -- verifies the outputs are
-identical, then runs a cold+warm persistent-cache pair (same on-disk
-store, fresh cache objects, standing in for separate processes) and
-records wall-clock speedups, cache hit-rates (including the warm-start
-gain), session reuse, queries/sec, solver counters, per-strategy worker
-shapes, and per-benchmark repair timings (``rows[*].repair_seconds``,
-the plan search alone) into ``BENCH_oracle.json`` so CI tracks the perf
-trajectory on every run.
+sweeps) three ways -- the seed serial oracle, the planned and cached
+pipeline with cold solves, and the incremental session strategy --
+verifies the outputs are identical, then runs a cold+warm
+persistent-cache pair (same on-disk store, fresh cache objects,
+standing in for separate processes) and records wall-clock speedups,
+cache hit-rates (including the warm-start gain), session reuse,
+queries/sec, solver counters, per-strategy worker shapes, and
+per-benchmark repair timings (``rows[*].repair_seconds``, the plan
+search alone) as JSON, so CI tracks the perf trajectory on every run.
 
 Environment knobs:
 
 - ``ORACLE_BENCH_CORPUS=small`` restricts to a three-benchmark smoke
   subset (the CI benchmark job uses this);
-- ``BENCH_ORACLE_OUT`` overrides the JSON output path;
+- ``BENCH_ORACLE_OUT`` sets the JSON output path (default
+  ``benchmarks/out/BENCH_oracle.json``, git-ignored; point it at the
+  committed ``BENCH_oracle.json`` to refresh the baseline);
 - ``ORACLE_BENCH_CACHE_DIR`` pins the persistent-cache directory (a
   temp dir by default), letting CI warm-start a second full run.
 """
@@ -102,7 +102,7 @@ class TestStrategyEquivalence:
         for name in SMOKE_CORPUS:
             program = BY_NAME[name].program()
             serial = AnomalyOracle(EC).analyze(program)
-            for strategy in ("parallel", "incremental", "parallel-incremental"):
+            for strategy in ("cached", "incremental", "auto"):
                 oracle = AnomalyOracle(EC, strategy=strategy)
                 try:
                     report = oracle.analyze(program)
@@ -115,7 +115,7 @@ class TestStrategyEquivalence:
                 assert serial.pairs_checked == report.pairs_checked, (name, strategy)
 
 
-def test_oracle_scaling(capsys):
+def test_oracle_scaling(capsys, bench_out):
     corpus = _corpus()
 
     # Serial seed baseline (best of three to damp scheduler noise).
@@ -125,12 +125,13 @@ def test_oracle_scaling(capsys):
         serial_rows = run_table1(corpus)
         serial_seconds = min(serial_seconds, time.perf_counter() - start)
 
-    # Parallel+cached pipeline (PR 1), cold cache each repetition.
+    # Planned + cached pipeline with cold solves, cold cache each
+    # repetition.
     pipeline_seconds = float("inf")
     for _ in range(3):
         cache = QueryCache()
         start = time.perf_counter()
-        pipeline_rows = run_table1(corpus, strategy="parallel", cache=cache)
+        pipeline_rows = run_table1(corpus, strategy="cached", cache=cache)
         pipeline_seconds = min(pipeline_seconds, time.perf_counter() - start)
 
     # Incremental warm-solver sessions (PR 2), cold cache + pool each
@@ -156,29 +157,6 @@ def test_oracle_scaling(capsys):
                 best_repair_seconds.get(r.name, float("inf")),
                 r.repair_seconds,
             )
-
-    # Sharded parallel-incremental workers (PR 4), cold cache + fresh
-    # worker pool each repetition.  On single-core hosts this degrades
-    # to the in-process incremental path by design; the timing is
-    # recorded either way, and check_bench_regression.py only compares
-    # it across hosts whose worker shape matches.
-    parallel_incremental_seconds = float("inf")
-    pi_counters = {}
-    pi_shards = {}
-    pi_workers = 0
-    for _ in range(3):
-        pi_cache = QueryCache()
-        with resolve_strategy("parallel-incremental") as runner:
-            pi_workers = runner.max_workers
-            start = time.perf_counter()
-            pi_rows = run_table1(corpus, strategy=runner, cache=pi_cache)
-            parallel_incremental_seconds = min(
-                parallel_incremental_seconds, time.perf_counter() - start
-            )
-            pi_counters = runner.counters()
-            # Work-stealing scheduler accounting (all zeros when the
-            # strategy degraded to the in-process path on one core).
-            pi_shards = runner.shard_stats()
 
     # Persistent cross-run cache: one cold and one warm pass over the
     # same on-disk store, each with a *fresh* cache object (standing in
@@ -215,8 +193,8 @@ def test_oracle_scaling(capsys):
         cache_dir_ctx.cleanup()
 
     # Hard equivalence gates: the pipeline matches the seed exactly;
-    # the warm-session strategies (incremental, parallel-incremental,
-    # and both persistent-cache passes) match every count and the
+    # the warm-session strategies (incremental and both
+    # persistent-cache passes) match every count and the
     # repair-facing EC pair sets field-for-field (their first,
     # witness-bearing solve per session runs on a virgin solver).
     # CC/RR witness fields may differ only by picking another model of
@@ -225,8 +203,6 @@ def test_oracle_scaling(capsys):
     assert _row_signature(serial_rows) == _row_signature(pipeline_rows)
     assert _count_signature(serial_rows) == _count_signature(incremental_rows)
     assert _repair_signature(serial_rows) == _repair_signature(incremental_rows)
-    assert _count_signature(serial_rows) == _count_signature(pi_rows)
-    assert _repair_signature(serial_rows) == _repair_signature(pi_rows)
     for phase_rows in persistent_rows.values():
         assert _count_signature(serial_rows) == _count_signature(phase_rows)
         assert _repair_signature(serial_rows) == _repair_signature(phase_rows)
@@ -252,16 +228,6 @@ def test_oracle_scaling(capsys):
     total_speedup = (
         serial_seconds / incremental_seconds if incremental_seconds else 0.0
     )
-    pi_speedup_vs_incremental = (
-        incremental_seconds / parallel_incremental_seconds
-        if parallel_incremental_seconds
-        else 0.0
-    )
-    pi_speedup_vs_serial = (
-        serial_seconds / parallel_incremental_seconds
-        if parallel_incremental_seconds
-        else 0.0
-    )
     host_cpus = os.cpu_count()
     payload = {
         "benchmark": "oracle-scaling",
@@ -273,39 +239,23 @@ def test_oracle_scaling(capsys):
             "cpu_count": host_cpus,
         },
         # Per-strategy host shape: the regression gate only compares a
-        # strategy's timings across hosts whose cpu_count/workers match,
-        # since pool strategies scale with cores and single-threaded
-        # strategies do not.
+        # strategy's timings across hosts whose cpu_count/workers match.
         "strategies": {
             "serial": {"cpu_count": host_cpus, "workers": 1},
-            "pipeline": {"cpu_count": host_cpus, "workers": host_cpus},
+            "pipeline": {"cpu_count": host_cpus, "workers": 1},
             "incremental": {"cpu_count": host_cpus, "workers": 1},
-            "parallel_incremental": {
-                "cpu_count": host_cpus,
-                "workers": pi_workers,
-            },
         },
         "serial_seconds": round(serial_seconds, 4),
         "pipeline_seconds": round(pipeline_seconds, 4),
         "incremental_seconds": round(incremental_seconds, 4),
-        "parallel_incremental_seconds": round(parallel_incremental_seconds, 4),
         "speedup": round(speedup, 2),
         "incremental_speedup_vs_pipeline": round(incremental_speedup, 2),
         "incremental_speedup_vs_serial": round(total_speedup, 2),
-        "parallel_incremental_speedup_vs_incremental": round(
-            pi_speedup_vs_incremental, 2
-        ),
-        "parallel_incremental_speedup_vs_serial": round(
-            pi_speedup_vs_serial, 2
-        ),
         "queries": queries,
         "queries_per_second": {
             "serial": round(queries / serial_seconds, 1),
             "pipeline": round(queries / pipeline_seconds, 1),
             "incremental": round(queries / incremental_seconds, 1),
-            "parallel_incremental": round(
-                queries / parallel_incremental_seconds, 1
-            ),
         },
         "cache": {
             "hits": cache.hits,
@@ -314,16 +264,6 @@ def test_oracle_scaling(capsys):
         },
         "persistent_cache": persistent,
         "sessions": session_counters,
-        "shard_sessions": pi_counters,
-        # Scheduler honesty record: steal totals plus per-shard-worker
-        # utilization, so a "speedup" with one starved worker is visible
-        # in the JSON rather than averaged away.
-        "shard_scheduler": {
-            **pi_shards,
-            "shard_utilization": [
-                w["utilization"] for w in pi_shards.get("workers", [])
-            ],
-        },
         "solver": solver_stats,
         "incremental_solver": incremental_stats,
         "rows": [
@@ -343,7 +283,7 @@ def test_oracle_scaling(capsys):
             for r in incremental_rows
         ],
     }
-    out_path = os.environ.get("BENCH_ORACLE_OUT", "BENCH_oracle.json")
+    out_path = bench_out("BENCH_ORACLE_OUT", "BENCH_oracle.json")
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -352,9 +292,7 @@ def test_oracle_scaling(capsys):
         print(
             f"\noracle scaling: serial={serial_seconds:.2f}s "
             f"pipeline={pipeline_seconds:.2f}s "
-            f"incremental={incremental_seconds:.2f}s "
-            f"parallel-incremental={parallel_incremental_seconds:.2f}s "
-            f"[{pi_workers} worker(s)] | "
+            f"incremental={incremental_seconds:.2f}s | "
             f"pipeline {speedup:.2f}x, incremental {incremental_speedup:.2f}x "
             f"over pipeline ({total_speedup:.2f}x over serial), "
             f"cache hit-rate={cache.hit_rate:.1%}, "
@@ -367,27 +305,11 @@ def test_oracle_scaling(capsys):
 
     # Identical results are a hard gate (asserted above).  The speedup
     # floors are intentionally below what we measure, so CI noise cannot
-    # turn the perf record into a flake; BENCH_oracle.json carries the
-    # actual numbers.  incremental-vs-serial is host-shape-stable (both
-    # run single-threaded everywhere); the pipeline-relative ratio is
-    # only meaningful where "parallel" degrades to in-process, i.e. on
-    # single-core hosts like the bench machine.
+    # turn the perf record into a flake; the JSON carries the actual
+    # numbers.  incremental-vs-serial is host-shape-stable (both run
+    # single-threaded everywhere); the pipeline-relative ratio is gated
+    # on single-core hosts like the bench machine.
     assert speedup > 1.2
     assert total_speedup > 1.5
     if (os.cpu_count() or 1) == 1:
         assert incremental_speedup > 1.2
-        # Single core: parallel-incremental must have degraded to the
-        # in-process path (no pool, no IPC), tracking incremental.
-        assert pi_workers == 1
-        assert parallel_incremental_seconds <= incremental_seconds * 1.35
-    else:
-        # Multi-core: a real pool must have spun up; results were
-        # already gated identical above.  The wall-clock gate is only
-        # meaningful on the full corpus -- the smoke corpus's per-query
-        # work is too thin to amortise pool start-up and IPC, so a
-        # timing assert there would be a nondeterministic CI gate.
-        # check_bench_regression.py still tracks the recorded ratio
-        # across matching host shapes.
-        assert pi_workers > 1
-        if os.environ.get("ORACLE_BENCH_CORPUS") != "small":
-            assert parallel_incremental_seconds <= incremental_seconds * 1.25

@@ -24,7 +24,9 @@ zero-error gates are unconditional.
 
 Environment knobs:
 
-- ``SERVICE_BENCH_OUT`` -- output path (default ``BENCH_service.json``);
+- ``SERVICE_BENCH_OUT`` -- output path (default
+  ``benchmarks/out/BENCH_service.json``, git-ignored; point it at the
+  committed ``BENCH_service.json`` to refresh the baseline);
 - ``SERVICE_BENCH_JOBS`` -- jobs per pass (default 12; CI smoke uses
   fewer);
 - ``SERVICE_BENCH_CONCURRENCY`` -- closed-loop clients (default 8);
@@ -194,7 +196,7 @@ def _fairness_pass(tmp_path, workers):
     }
 
 
-def test_service_scaling(tmp_path, capsys):
+def test_service_scaling(tmp_path, capsys, bench_out):
     jobs = int(os.environ.get("SERVICE_BENCH_JOBS", "12"))
     concurrency = int(os.environ.get("SERVICE_BENCH_CONCURRENCY", "8"))
     multi_workers = _host_workers()
@@ -284,7 +286,7 @@ def test_service_scaling(tmp_path, capsys):
         "differential": differential,
         "fairness": fairness,
     }
-    out_path = os.environ.get("SERVICE_BENCH_OUT", "BENCH_service.json")
+    out_path = bench_out("SERVICE_BENCH_OUT", "BENCH_service.json")
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -104,27 +104,23 @@ def repair(
     strategy="serial",
     cache=None,
     search="greedy",
-    max_workers=None,
     progress=None,
     **search_options,
 ):
     """Run the full repair pipeline on ``program`` (a thin wrapper over
     :meth:`repro.api.Workspace.repair_program`).
 
-    A strategy given by name is owned by this call and torn down (worker
-    pools included) before returning; a strategy *instance* belongs to
-    the caller and is left running for reuse.  ``max_workers`` sizes the
-    process-pool strategies (``"parallel"``, ``"parallel-incremental"``,
-    ``"auto"``); ``cache`` may be a
-    :class:`~repro.analysis.pipeline.PersistentQueryCache` to warm-start
-    the oracle from an earlier run's outcomes.
+    A strategy given by name is owned by this call and torn down (warm
+    solver sessions included) before returning; a strategy *instance*
+    belongs to the caller and is left running for reuse.  ``cache`` may
+    be a :class:`~repro.analysis.pipeline.PersistentQueryCache` to
+    warm-start the oracle from an earlier run's outcomes.
     """
     from repro.api import Workspace
 
     with Workspace(
         strategy=strategy,
         cache=cache,
-        max_workers=max_workers,
         use_prefilter=use_prefilter,
     ) as ws:
         return ws.repair_program(

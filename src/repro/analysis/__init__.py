@@ -36,8 +36,6 @@ from repro.analysis.oracle import (
 from repro.analysis.pipeline import (
     AnalysisPipeline,
     IncrementalStrategy,
-    ParallelIncrementalStrategy,
-    ParallelStrategy,
     PersistentQueryCache,
     QueryCache,
     QueryPlanner,
@@ -60,8 +58,6 @@ __all__ = [
     "detect_anomalies",
     "AnalysisPipeline",
     "IncrementalStrategy",
-    "ParallelIncrementalStrategy",
-    "ParallelStrategy",
     "PersistentQueryCache",
     "QueryCache",
     "QueryPlanner",

@@ -301,18 +301,9 @@ class AnomalyOracle:
       axiom groups by assumption, retaining learned clauses and
       variable activity across the repair fixpoint and the level
       sweeps.
-    - ``"parallel"``: the pipeline with a cold ``ProcessPoolExecutor``
-      fan-out (degrading to in-process on single-core hosts) plus the
-      memo cache.
-    - ``"parallel-incremental"``: sharded warm-session workers -- one
-      long-lived process per shard, each owning its own
-      :class:`OracleSession` pool, with queries routed by the focus
-      triple's structural fingerprint so every level sweep and fixpoint
-      re-analysis of a triple lands on the same warm solver.  Degrades
-      to the in-process incremental path on single-core hosts.
-    - ``"auto"``: ``"parallel-incremental"`` when multiple cores are
-      available, else ``"incremental"``; the resolved choice is
-      recorded in :attr:`AnalysisReport.strategy`.
+    - ``"auto"``, and the deprecated ``"parallel"`` and
+      ``"parallel-incremental"``: the same as ``"incremental"``, which
+      :attr:`AnalysisReport.strategy` records.
     - any object with a ``run(specs, level, distinct_args)`` method.
 
     Every strategy produces the same pair set; ``cache`` (a
@@ -328,7 +319,6 @@ class AnomalyOracle:
         distinct_args: bool = True,
         strategy: object = "serial",
         cache: Optional[object] = None,
-        max_workers: Optional[int] = None,
         progress=None,
         budget=None,
     ):
@@ -349,7 +339,6 @@ class AnomalyOracle:
                 distinct_args=distinct_args,
                 strategy=strategy,
                 cache=cache,
-                max_workers=max_workers,
                 progress=progress,
                 budget=budget,
             )
@@ -360,7 +349,8 @@ class AnomalyOracle:
         return self._pipeline.cache if self._pipeline is not None else None
 
     def close(self) -> None:
-        """Release strategy resources (worker pools); serial is a no-op."""
+        """Release strategy resources (warm solver sessions); serial is a
+        no-op."""
         if self._pipeline is not None:
             self._pipeline.close()
 

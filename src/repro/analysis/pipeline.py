@@ -1,4 +1,4 @@
-"""Analysis execution pipeline: planned, cached, parallel SAT queries.
+"""Analysis execution pipeline: planned, cached, incremental SAT queries.
 
 The seed oracle (:class:`repro.analysis.oracle.AnomalyOracle` with
 ``strategy="serial"``) discharges every ``(transaction, command pair,
@@ -10,16 +10,10 @@ execution subsystem with three independent levers:
    small dependency DAG -- per access pair, the SAT *query* nodes feed a
    *merge* node -- and batches them into topological generations so a
    runner can fan out everything inside one generation;
-2. pluggable runners: :class:`SerialStrategy` (deterministic in-process
-   fallback), :class:`IncrementalStrategy` (warm per-triple solver
+2. two in-process runners: :class:`SerialStrategy` (deterministic cold
+   solves) and :class:`IncrementalStrategy` (warm per-triple solver
    sessions with activation-literal axiom groups -- see
-   :class:`~repro.analysis.encoding.PairSession`),
-   :class:`ParallelStrategy` (a cold ``ProcessPoolExecutor`` fan-out),
-   and :class:`ParallelIncrementalStrategy` (long-lived shard workers,
-   each owning a warm session pool, with queries routed by structural
-   fingerprint so a triple always lands on its warm solver; both
-   process-pool strategies degrade to in-process execution on
-   single-core hosts);
+   :class:`~repro.analysis.encoding.PairSession`);
 3. a :class:`QueryCache` memoising query outcomes under structural
    fingerprints of the participating :class:`TransactionSummary` data
    plus the consistency level, so a repair loop's re-analysis only
@@ -958,21 +952,6 @@ def solve_query(
     )
 
 
-def _solve_chunk(payload):
-    """Worker entry point: solve a chunk of queries in one process."""
-    level_name, distinct_args, use_prefilter, chunk = payload
-    level = by_name(level_name)
-    out = []
-    for index, c1, c2, summary_b in chunk:
-        out.append(
-            (
-                index,
-                solve_query(c1, c2, summary_b, level, distinct_args, use_prefilter),
-            )
-        )
-    return out
-
-
 class SerialStrategy:
     """Deterministic in-process execution, in plan order.
 
@@ -1022,128 +1001,8 @@ class SerialStrategy:
             for s, levels in zip(specs, spec_levels)
         ]
 
-    def close(self) -> None:  # symmetry with ParallelStrategy
+    def close(self) -> None:  # symmetry with IncrementalStrategy
         pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-class ParallelStrategy:
-    """``ProcessPoolExecutor`` fan-out over query chunks.
-
-    Each query is an independent bounded SAT instance, so the fan-out is
-    embarrassingly parallel; results are reassembled in plan order, which
-    keeps the output bit-identical to the serial runner.  On single-core
-    hosts (or ``max_workers=1``) the pool would be pure IPC overhead, so
-    execution degrades to the in-process path.
-    """
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunks_per_worker: int = 4,
-    ):
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self.chunks_per_worker = chunks_per_worker
-        self._executor = None
-        self._serial = SerialStrategy()
-
-    @property
-    def name(self) -> str:
-        return f"parallel[{self.max_workers}]"
-
-    def _ensure_executor(self):
-        if self._executor is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX hosts
-                context = multiprocessing.get_context()
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=context
-            )
-        return self._executor
-
-    def run(
-        self,
-        specs: Sequence[QuerySpec],
-        level: ConsistencyLevel,
-        distinct_args: bool,
-        use_prefilter: bool = True,
-    ) -> List[QueryOutcome]:
-        if self.max_workers <= 1 or len(specs) <= 1:
-            return self._serial.run(specs, level, distinct_args, use_prefilter)
-        chunk_count = min(
-            len(specs), self.max_workers * self.chunks_per_worker
-        )
-        chunk_size = -(-len(specs) // chunk_count)
-        # Results are keyed by *position* in `specs`, not QuerySpec.index:
-        # a batched analyze_many hands this runner specs from several
-        # plans at once, whose plan-local indexes collide.
-        chunks = [
-            [
-                (position, s.c1, s.c2, s.summary_b)
-                for position, s in enumerate(
-                    specs[i : i + chunk_size], start=i
-                )
-            ]
-            for i in range(0, len(specs), chunk_size)
-        ]
-        payloads = [
-            (level.name, distinct_args, use_prefilter, chunk) for chunk in chunks
-        ]
-        try:
-            executor = self._ensure_executor()
-            by_position: Dict[int, QueryOutcome] = {}
-            for chunk_result in executor.map(_solve_chunk, payloads):
-                for position, outcome in chunk_result:
-                    by_position[position] = outcome
-        except Exception:
-            # A broken pool (killed worker, unpicklable corner case) must
-            # not take the analysis down: fall back to in-process.
-            self.close()
-            return self._serial.run(specs, level, distinct_args, use_prefilter)
-        return [by_position[i] for i in range(len(specs))]
-
-    def run_levels(
-        self,
-        specs: Sequence[QuerySpec],
-        spec_levels: Sequence[Sequence[ConsistencyLevel]],
-        distinct_args: bool,
-        use_prefilter: bool = True,
-    ) -> List[List[QueryOutcome]]:
-        """Level sweep over cold solves: there is no warm state to
-        share, so the sweep is regrouped by level and fanned out through
-        :meth:`run` once per level."""
-        by_level: Dict[str, List[Tuple[int, int, QuerySpec, ConsistencyLevel]]]
-        by_level = {}
-        for i, (s, levels) in enumerate(zip(specs, spec_levels)):
-            for j, level in enumerate(levels):
-                by_level.setdefault(level.name, []).append((i, j, s, level))
-        out: List[List[Optional[QueryOutcome]]] = [
-            [None] * len(levels) for levels in spec_levels
-        ]
-        for entries in by_level.values():
-            level = entries[0][3]
-            outcomes = self.run(
-                [s for _, _, s, _ in entries], level, distinct_args,
-                use_prefilter,
-            )
-            for (i, j, _, _), outcome in zip(entries, outcomes):
-                out[i][j] = outcome
-        return out  # type: ignore[return-value]
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
 
     def __enter__(self):
         return self
@@ -1166,21 +1025,15 @@ class IncrementalStrategy:
     instance, which the oracle/pipeline keep across ``analyze()`` calls
     -- that is what carries solver state from one fixpoint iteration to
     the next.
-
-    The pool (and each session) pickles by shedding warm solver state,
-    so a ``ProcessPool`` worker handed this strategy re-warms sessions
-    lazily instead of shipping solver internals across the boundary.
     """
 
     name = "incremental"
     supports_budget = True
 
-    def __init__(self, pool=None):
-        if pool is None:
-            from repro.analysis.oracle import OracleSession
+    def __init__(self):
+        from repro.analysis.oracle import OracleSession
 
-            pool = OracleSession()
-        self.pool = pool
+        self.pool = OracleSession()
 
     def run(
         self,
@@ -1242,478 +1095,33 @@ class IncrementalStrategy:
         return False
 
 
-# ---------------------------------------------------------------------------
-# Parallel-incremental execution: sharded warm-session workers
-# ---------------------------------------------------------------------------
-
-# Per-worker-process warm session pool, built by the pool initializer.
-# Each shard worker is a single-process executor, so this global is that
-# worker's private state and lives as long as the worker does.
-_WORKER_SESSIONS = None
+#: Names of the retired process-pool strategies, kept so old callers
+#: still work.  They resolve to the in-process :class:`IncrementalStrategy`,
+#: which ran Table 1 faster than the pools did on a 2-core host; the
+#: service gets its parallelism from running jobs on several workers.
+DEPRECATED_NAMES = ("parallel", "parallel-incremental", "parallel_incremental")
 
 
-def _shard_worker_init(max_sessions: int) -> None:
-    global _WORKER_SESSIONS
-    from repro.analysis.oracle import OracleSession
-
-    _WORKER_SESSIONS = OracleSession(max_sessions=max_sessions)
-
-
-def _shard_worker_solve(payload):
-    """Worker entry point: discharge one shard's queries on this
-    worker's warm :class:`~repro.analysis.oracle.OracleSession` pool."""
-    level_name, distinct_args, use_prefilter, shard = payload
-    level = by_name(level_name)
-    out = []
-    for index, c1, c2, summary_b, session_key in shard:
-        out.append(
-            (
-                index,
-                _WORKER_SESSIONS.solve(
-                    c1,
-                    c2,
-                    summary_b,
-                    level,
-                    distinct_args,
-                    use_prefilter=use_prefilter,
-                    key=session_key,
-                ),
-            )
-        )
-    return out
-
-
-def _shard_worker_run_chunk(payload):
-    """Timed worker entry point for the work-stealing scheduler: solve
-    one chunk (same payload as :func:`_shard_worker_solve`) and report
-    how long the worker was busy on it."""
-    start = time.perf_counter()
-    out = _shard_worker_solve(payload)
-    return out, time.perf_counter() - start
-
-
-def _shard_worker_sweep(payload):
-    """Timed worker entry point for level sweeps: each shard item names
-    its own level list and is discharged through the warm pool's
-    :meth:`~repro.analysis.oracle.OracleSession.solve_batch`."""
-    distinct_args, use_prefilter, shard = payload
-    start = time.perf_counter()
-    out = []
-    for position, c1, c2, summary_b, session_key, level_names in shard:
-        levels = [by_name(name) for name in level_names]
-        out.append(
-            (
-                position,
-                _WORKER_SESSIONS.solve_batch(
-                    c1,
-                    c2,
-                    summary_b,
-                    levels,
-                    distinct_args,
-                    use_prefilter=use_prefilter,
-                    key=session_key,
-                ),
-            )
-        )
-    return out, time.perf_counter() - start
-
-
-def _shard_worker_counters() -> Dict[str, int]:
-    return _WORKER_SESSIONS.counters() if _WORKER_SESSIONS is not None else {}
-
-
-def shard_of(cache_key: CacheKey, shards: int) -> int:
-    """Worker index for a query, by the focus triple's structural
-    fingerprint.
-
-    Process-stable (sha1, not the salted builtin ``hash``) and
-    level-independent: every consistency-level sweep of one triple, and
-    every re-analysis of a structurally unchanged triple across the
-    repair fixpoint, routes to the same worker -- whose
-    :class:`~repro.analysis.oracle.OracleSession` pool therefore never
-    rebuilds that triple's solver cold twice.
-    """
-    digest = hashlib.sha1(
-        "|".join(cache_key[:3]).encode(), usedforsecurity=False
-    ).hexdigest()
-    return int(digest[:8], 16) % shards
-
-
-class ParallelIncrementalStrategy:
-    """Sharded warm-session workers: parallelism *and* incrementality.
-
-    :class:`ParallelStrategy` fans out cold solves; :class:`
-    IncrementalStrategy` keeps warm solvers but runs in-process.  This
-    strategy keeps one long-lived worker process per shard (a
-    single-process ``ProcessPoolExecutor`` each, so work submitted to a
-    shard always lands on the same OS process -- the affinity trick of
-    long-lived database compiler workers), gives every worker its own
-    :class:`~repro.analysis.oracle.OracleSession` pool via the pool
-    initializer, and routes each query to the worker that owns its
-    focus triple's fingerprint (:func:`shard_of`).  A triple's level
-    sweep and its fixpoint re-analyses therefore always hit the same
-    warm solver, while distinct triples solve concurrently.
-
-    Static sha1 sharding balances *triples*, not *work*: one benchmark
-    can contribute 63 anomalous pairs and another 1, so a shard can run
-    long after every other worker went idle.  Each shard is therefore
-    split into up to ``chunks_per_shard`` chunks queued per worker, and
-    (with ``work_stealing``, the default) a worker whose own queue runs
-    dry steals the *tail* chunk of the longest remaining queue instead
-    of idling.  Stolen triples build cold on the thief -- affinity is
-    traded for utilization only once the owner is saturated -- so tests
-    that assert strict affinity pass ``work_stealing=False``.  The
-    scheduler keeps per-worker busy-seconds and chunk/steal counts;
-    :meth:`shard_stats` exposes them (``BENCH_oracle.json`` records
-    them as ``shard_utilization``/``steal_count``).
-
-    On single-core hosts (or ``max_workers=1``) the processes would be
-    pure IPC overhead, so execution degrades to one in-process
-    :class:`IncrementalStrategy` -- same results, same warmth, no pool.
-    A broken pool mid-run falls back the same way.
-    """
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        max_sessions_per_worker: int = 4096,
-        work_stealing: bool = True,
-        chunks_per_shard: int = 4,
-    ):
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self.max_sessions_per_worker = max_sessions_per_worker
-        self.work_stealing = work_stealing
-        self.chunks_per_shard = max(1, chunks_per_shard)
-        self._executors: Optional[List] = None
-        self._fallback: Optional[IncrementalStrategy] = None
-        self._retired_counters: Dict[str, int] = {}
-        self._used_workers: Set[int] = set()
-        self._broken = False
-        self._steal_count = 0
-        self._worker_busy: Dict[int, float] = {}
-        self._worker_chunks: Dict[int, int] = {}
-        self._worker_stolen: Dict[int, int] = {}
-        self._sched_elapsed = 0.0
-
-    @property
-    def name(self) -> str:
-        if self.max_workers <= 1 or self._broken:
-            return "parallel-incremental[in-process]"
-        return f"parallel-incremental[{self.max_workers}]"
-
-    def _ensure_fallback(self) -> IncrementalStrategy:
-        if self._fallback is None:
-            self._fallback = IncrementalStrategy()
-        return self._fallback
-
-    def _ensure_executors(self) -> List:
-        if self._executors is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX hosts
-                context = multiprocessing.get_context()
-            self._executors = [
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    mp_context=context,
-                    initializer=_shard_worker_init,
-                    initargs=(self.max_sessions_per_worker,),
-                )
-                for _ in range(self.max_workers)
-            ]
-        return self._executors
-
-    def run(
-        self,
-        specs: Sequence[QuerySpec],
-        level: ConsistencyLevel,
-        distinct_args: bool,
-        use_prefilter: bool = True,
-    ) -> List[QueryOutcome]:
-        if self.max_workers <= 1 or self._broken:
-            return self._ensure_fallback().run(
-                specs, level, distinct_args, use_prefilter
-            )
-        # Results are keyed by *position* in `specs`, not QuerySpec.index:
-        # a batched analyze_many hands this runner specs from several
-        # plans at once, whose plan-local indexes collide.
-        queues = self._shard_queues(
-            specs,
-            lambda chunk: (
-                level.name,
-                distinct_args,
-                use_prefilter,
-                [
-                    (
-                        position,
-                        s.c1,
-                        s.c2,
-                        s.summary_b,
-                        s.cache_key[:3] + (distinct_args,),
-                    )
-                    for position, s in chunk
-                ],
-            ),
-        )
-        try:
-            merged = self._dispatch_chunks(queues, _shard_worker_run_chunk)
-        except Exception:
-            # A dead worker must not take the analysis down; the
-            # in-process incremental path produces the same outcomes.
-            # The breakage is sticky: later runs go straight to the
-            # fallback pool (which stays alive and keeps warming)
-            # instead of respawning -- and re-breaking -- the workers.
-            self._broken = True
-            self._shutdown_executors()
-            return self._ensure_fallback().run(
-                specs, level, distinct_args, use_prefilter
-            )
-        by_position: Dict[int, QueryOutcome] = dict(merged)
-        return [by_position[i] for i in range(len(specs))]
-
-    def run_levels(
-        self,
-        specs: Sequence[QuerySpec],
-        spec_levels: Sequence[Sequence[ConsistencyLevel]],
-        distinct_args: bool,
-        use_prefilter: bool = True,
-        budget=None,
-    ) -> List[List[QueryOutcome]]:
-        """Sharded level sweeps: every spec's whole level list is
-        discharged by its shard worker as one warm
-        :meth:`~repro.analysis.oracle.OracleSession.solve_batch` sweep,
-        with the same chunking/stealing scheduler as :meth:`run`."""
-        if self.max_workers <= 1 or self._broken:
-            return self._ensure_fallback().run_levels(
-                specs, spec_levels, distinct_args, use_prefilter,
-                budget=budget,
-            )
-        queues = self._shard_queues(
-            specs,
-            lambda chunk: (
-                distinct_args,
-                use_prefilter,
-                [
-                    (
-                        position,
-                        s.c1,
-                        s.c2,
-                        s.summary_b,
-                        s.cache_key[:3] + (distinct_args,),
-                        tuple(lv.name for lv in spec_levels[position]),
-                    )
-                    for position, s in chunk
-                ],
-            ),
-        )
-        try:
-            merged = self._dispatch_chunks(queues, _shard_worker_sweep)
-        except Exception:
-            self._broken = True
-            self._shutdown_executors()
-            return self._ensure_fallback().run_levels(
-                specs, spec_levels, distinct_args, use_prefilter,
-                budget=budget,
-            )
-        by_position: Dict[int, List[QueryOutcome]] = dict(merged)
-        return [by_position[i] for i in range(len(specs))]
-
-    def _shard_queues(self, specs, make_payload) -> List[List]:
-        """Route specs to their shard, split each shard into up to
-        ``chunks_per_shard`` chunks (preserving shard order), and build
-        each worker's payload queue."""
-        shards: Dict[int, List[Tuple[int, QuerySpec]]] = {}
-        for position, spec in enumerate(specs):
-            shards.setdefault(
-                shard_of(spec.cache_key, self.max_workers), []
-            ).append((position, spec))
-        queues: List[List] = [[] for _ in range(self.max_workers)]
-        for worker, shard in shards.items():
-            per = -(-len(shard) // self.chunks_per_shard)
-            for i in range(0, len(shard), per):
-                queues[worker].append(make_payload(shard[i : i + per]))
-        return queues
-
-    def _dispatch_chunks(self, queues: List[List], entry) -> List:
-        """Drain per-worker chunk queues, keeping one chunk in flight
-        per worker (each shard executor is a single process, so deeper
-        submission would only reorder the shard).  A worker whose own
-        queue is empty steals the tail of the longest remaining queue
-        when ``work_stealing`` is on; otherwise it idles.  Returns the
-        concatenated chunk results."""
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        executors = self._ensure_executors()
-        started = time.perf_counter()
-        merged: List = []
-        inflight: Dict[object, int] = {}
-
-        def take(worker: int):
-            if queues[worker]:
-                return queues[worker].pop(0)
-            if self.work_stealing:
-                victim = max(
-                    range(len(queues)), key=lambda w: len(queues[w])
-                )
-                if queues[victim]:
-                    self._steal_count += 1
-                    self._worker_stolen[worker] = (
-                        self._worker_stolen.get(worker, 0) + 1
-                    )
-                    return queues[victim].pop()
-            return None
-
-        def feed(worker: int) -> None:
-            payload = take(worker)
-            if payload is None:
-                return
-            future = executors[worker].submit(entry, payload)
-            inflight[future] = worker
-            self._used_workers.add(worker)
-
-        for worker in range(self.max_workers):
-            feed(worker)
-        while inflight:
-            done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-            for future in done:
-                worker = inflight.pop(future)
-                out, busy = future.result()
-                merged.extend(out)
-                self._worker_busy[worker] = (
-                    self._worker_busy.get(worker, 0.0) + busy
-                )
-                self._worker_chunks[worker] = (
-                    self._worker_chunks.get(worker, 0) + 1
-                )
-                feed(worker)
-        self._sched_elapsed += time.perf_counter() - started
-        return merged
-
-    def shard_stats(self) -> Dict[str, object]:
-        """Scheduler accounting over the strategy's lifetime: total
-        steals, scheduler wall-clock, and per-worker busy-seconds /
-        chunk counts / utilization (busy over scheduler wall-clock).
-        All zeros when execution degraded to the in-process path."""
-        elapsed = self._sched_elapsed
-        workers = []
-        for worker in range(self.max_workers):
-            busy = self._worker_busy.get(worker, 0.0)
-            workers.append(
-                {
-                    "worker": worker,
-                    "busy_seconds": round(busy, 4),
-                    "chunks": self._worker_chunks.get(worker, 0),
-                    "stolen_chunks": self._worker_stolen.get(worker, 0),
-                    "utilization": (
-                        round(busy / elapsed, 4) if elapsed > 0 else 0.0
-                    ),
-                }
-            )
-        return {
-            "work_stealing": self.work_stealing,
-            "steal_count": self._steal_count,
-            "scheduler_seconds": round(elapsed, 4),
-            "workers": workers,
-        }
-
-    def _live_counters(self) -> Dict[str, int]:
-        """Session counters over every live shard worker plus the
-        in-process fallback pool, if it ever ran."""
-        totals: Dict[str, int] = {}
-        sources: List[Dict[str, int]] = []
-        if self._executors is not None:
-            # Only workers that ever received a shard: submitting to an
-            # idle executor would fork its process just to report {}.
-            for worker in sorted(self._used_workers):
-                try:
-                    sources.append(
-                        self._executors[worker]
-                        .submit(_shard_worker_counters)
-                        .result()
-                    )
-                except Exception:  # pragma: no cover - dead worker
-                    continue
-        if self._fallback is not None:
-            sources.append(self._fallback.pool.counters())
-        for counters in sources:
-            for key, value in counters.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def counters(self) -> Dict[str, int]:
-        """Aggregated :meth:`~repro.analysis.oracle.OracleSession.
-        counters` across the strategy's lifetime.  Like the session
-        pool itself, counters survive :meth:`close` for reporting."""
-        totals = dict(self._retired_counters)
-        for key, value in self._live_counters().items():
-            totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def _shutdown_executors(self) -> None:
-        """Tear the worker processes down without touching the fallback
-        pool (a broken pool's counters are unreachable and dropped)."""
-        if self._executors is not None:
-            for executor in self._executors:
-                executor.shutdown()
-            self._executors = None
-        self._used_workers.clear()
-
-    def close(self) -> None:
-        for key, value in self._live_counters().items():
-            self._retired_counters[key] = (
-                self._retired_counters.get(key, 0) + value
-            )
-        self._shutdown_executors()
-        if self._fallback is not None:
-            self._fallback.close()
-            self._fallback = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-def resolve_strategy(spec, max_workers: Optional[int] = None):
+def resolve_strategy(spec):
     """Map a strategy spec (name or instance) to a runner instance.
 
     Names: ``"cached"`` (serial runner + memo cache), ``"incremental"``
-    (warm per-triple solver sessions + memo cache), ``"parallel"``
-    (cold process fan-out + memo cache), ``"parallel-incremental"``
-    (sharded warm-session workers + memo cache), ``"auto"``
-    (parallel-incremental when the host has more than one core, else
-    in-process incremental sessions).  ``"serial"`` is handled by the
-    oracle itself (the seed execution loop) and is not a pipeline
-    strategy.
+    (warm per-triple solver sessions + memo cache), ``"auto"`` (the
+    default of :class:`~repro.api.Workspace`, same as ``"incremental"``)
+    and the :data:`DEPRECATED_NAMES`, which resolve to ``"incremental"``
+    too.
+    ``"serial"`` is handled by the oracle itself (the seed execution
+    loop) and is not a pipeline strategy.
     """
     if spec is None or spec == "cached":
         return SerialStrategy()
-    if spec == "incremental":
-        return IncrementalStrategy()
-    if spec == "parallel":
-        return ParallelStrategy(max_workers=max_workers)
-    if spec in ("parallel-incremental", "parallel_incremental"):
-        return ParallelIncrementalStrategy(max_workers=max_workers)
-    if spec == "auto":
-        # Multi-core hosts get parallelism *and* warm sessions; on one
-        # core the process pool is pure overhead, so stay in-process.
-        # The resolved runner's name lands in AnalysisReport.strategy,
-        # so reports record which path "auto" actually chose.
-        workers = max_workers or os.cpu_count() or 1
-        if workers > 1:
-            return ParallelIncrementalStrategy(max_workers=workers)
+    if spec in ("incremental", "auto") or spec in DEPRECATED_NAMES:
         return IncrementalStrategy()
     if hasattr(spec, "run"):
         return spec
     raise ValueError(
         f"unknown analysis strategy {spec!r}; expected 'serial', 'cached', "
-        "'incremental', 'parallel', 'parallel-incremental', 'auto', or a "
-        "strategy object"
+        "'incremental', 'auto', or a strategy object"
     )
 
 
@@ -1732,7 +1140,6 @@ class AnalysisPipeline:
         distinct_args: bool = True,
         strategy=None,
         cache: Optional[QueryCache] = None,
-        max_workers: Optional[int] = None,
         progress=None,
         budget=None,
     ):
@@ -1740,7 +1147,7 @@ class AnalysisPipeline:
         self.use_prefilter = use_prefilter
         self.distinct_args = distinct_args
         self.planner = QueryPlanner()
-        self.strategy = resolve_strategy(strategy, max_workers)
+        self.strategy = resolve_strategy(strategy)
         self.cache = cache if cache is not None else QueryCache()
         # Progress callback (see repro.events): coarse per-batch
         # narration -- start (planned queries, cache hits), solved (the
@@ -1756,14 +1163,13 @@ class AnalysisPipeline:
         return self.analyze_many([program])[0]
 
     def analyze_many(self, programs: Sequence[ast.Program]) -> List:
-        """Analyze several programs through *one* strategy fan-out.
+        """Analyze several programs through *one* strategy run.
 
         Per-query results are pure functions of their fingerprints, so
         batching changes nothing about any program's report -- but all
         programs' cache misses are deduplicated together and handed to
-        the strategy as one spec list, so a parallel runner overlaps
-        every program's solving (this is what lets a beam search score a
-        whole generation of candidate plans concurrently instead of one
+        the strategy as one spec list (this is how a beam search scores
+        a whole generation of candidate plans in one call instead of one
         ``analyze()`` at a time).  Queries shared between programs are
         solved once; the solve is attributed (``sat_queries``,
         ``solver_stats``) to the first program that requested it.  Each

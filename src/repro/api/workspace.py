@@ -9,7 +9,7 @@ state worth sharing between calls:
 
 - one resolved oracle **execution strategy** (for the warm strategies
   that means the long-lived :class:`~repro.analysis.oracle.OracleSession`
-  pools / shard workers survive across requests);
+  pool survives across requests);
 - one **memo cache** (optionally a
   :class:`~repro.analysis.pipeline.PersistentQueryCache` under
   ``cache_dir``, shared by every analysis the workspace runs);
@@ -27,9 +27,10 @@ Two API tiers coexist deliberately:
 
 A workspace is thread-safe: calls serialize on an internal lock (the
 solver sessions and memo cache are single-threaded structures; the
-parallelism lives *inside* a strategy's worker processes, not across
-API callers).  Results are independent of the execution strategy by
-hard test gate, so any two workspaces agree on every verdict and plan.
+service runs jobs in parallel on separate worker processes, each with
+its own workspace).  Results are independent of the execution strategy
+by hard test gate, so any two workspaces agree on every verdict and
+plan.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from repro.api.types import (
     RepairResult,
 )
 from repro.analysis.consistency import EC, ConsistencyLevel, by_name
+from repro.analysis.pipeline import DEPRECATED_NAMES
 from repro.budget import Budget
 from repro.errors import DeadlineExceededError
 
@@ -67,43 +69,41 @@ STRATEGIES = (
     "auto",
 )
 
-#: What a workspace runs when the caller does not choose: ``"auto"``
-#: picks the fastest strategy for the host and records its pick.
+#: What a workspace runs when the caller does not choose: ``"auto"``,
+#: the in-process ``"incremental"`` strategy.
 DEFAULT_STRATEGY = "auto"
 
 
 def requested_strategy(
     strategy: Optional[str],
     cache_dir: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> Tuple[str, Optional[str]]:
     """The CLI/default strategy contract, in one place.
 
     Returns ``(effective_strategy, note)``.  The seed ``"serial"`` loop
-    has no cache and no pool, so ``--cache-dir``/``--workers`` silently
-    doing nothing under the *implicit* default would betray their
-    contract: an unset strategy upgrades to ``"auto"`` (with a note
-    saying so) whenever either flag is given.  An **explicit**
-    ``"serial"`` is always respected -- the flags are then genuinely
-    unused, the note says so, and the caller must not open a cache or a
-    pool on their behalf.
+    has no cache, so ``--cache-dir`` silently doing nothing under the
+    *implicit* default would betray its contract: an unset strategy
+    upgrades to ``"auto"`` (with a note saying so) when the flag is
+    given.  An **explicit** ``"serial"`` is always respected -- the flag
+    is then genuinely unused, the note says so, and the caller must not
+    open a cache on its behalf.  The deprecated pooled names get a note
+    saying what they run now.
     """
-    flags = [
-        flag
-        for flag, value in (("--cache-dir", cache_dir), ("--workers", workers))
-        if value
-    ]
-    if flags:
-        joined = "/".join(flags)
+    if strategy in DEPRECATED_NAMES:
+        return strategy, (
+            f"note: --strategy {strategy} is deprecated; it runs the "
+            "in-process incremental strategy"
+        )
+    if cache_dir:
         if strategy is None:
             return "auto", (
-                f"note: {joined} needs a caching strategy; "
+                "note: --cache-dir needs a caching strategy; "
                 "using --strategy auto (pass --strategy to override)"
             )
         if strategy == "serial":
             return "serial", (
                 "note: --strategy serial runs the uncached, single-"
-                f"threaded seed loop; {joined} ignored"
+                "threaded seed loop; --cache-dir ignored"
             )
     return strategy or "serial", None
 
@@ -124,13 +124,11 @@ class WorkspaceConfig:
     ``cache_dir`` is set, each worker gets its own subdirectory
     (``<cache_dir>/worker-<i>``), because the sqlite memo cache batches
     writes in long transactions and is not built for concurrent
-    writers.  Shard affinity makes the split cheap: worker *i* keeps
-    seeing the same requests, so its private cache warms just as well.
+    writers.
     """
 
     strategy: str = DEFAULT_STRATEGY
     cache_dir: Optional[str] = None
-    max_workers: Optional[int] = None
     search: str = "greedy"
     use_prefilter: bool = True
     distinct_args: bool = True
@@ -140,7 +138,6 @@ class WorkspaceConfig:
         return Workspace(
             strategy=self.strategy,
             cache_dir=self.cache_dir,
-            max_workers=self.max_workers,
             search=self.search,
             use_prefilter=self.use_prefilter,
             distinct_args=self.distinct_args,
@@ -187,8 +184,8 @@ class Workspace:
     memo cache -- persistent under ``cache_dir`` when given.
 
     ``strategy="serial"`` selects the seed oracle loop: no pipeline, no
-    cache, no pool -- the reference configuration the differential tests
-    compare everything else against.
+    cache, no solver sessions -- the reference configuration the
+    differential tests compare everything else against.
     """
 
     def __init__(
@@ -196,7 +193,6 @@ class Workspace:
         strategy: object = DEFAULT_STRATEGY,
         cache: Optional[object] = None,
         cache_dir: Optional[str] = None,
-        max_workers: Optional[int] = None,
         search: object = "greedy",
         use_prefilter: bool = True,
         distinct_args: bool = True,
@@ -211,7 +207,6 @@ class Workspace:
         self.search = search
         self.use_prefilter = use_prefilter
         self.distinct_args = distinct_args
-        self.max_workers = max_workers
         self._serial = strategy == "serial"
         self._owns_runner = isinstance(strategy, str) and not self._serial
         self._owns_cache = False
@@ -220,19 +215,12 @@ class Workspace:
             self.cache = None
         else:
             self._runner = (
-                resolve_strategy(strategy, max_workers)
+                resolve_strategy(strategy)
                 if self._owns_runner
                 else strategy
             )
             if cache is None:
-                try:
-                    cache = make_query_cache(cache_dir)
-                except BaseException:
-                    # A failed cache open (unwritable cache_dir) must not
-                    # orphan the worker pool the line above spawned.
-                    if self._owns_runner:
-                        self._runner.close()
-                    raise
+                cache = make_query_cache(cache_dir)
                 self._owns_cache = True
             self.cache = cache
         self._lock = threading.RLock()
@@ -253,7 +241,7 @@ class Workspace:
         return getattr(self._runner, "name", type(self._runner).__name__)
 
     def close(self) -> None:
-        """Release owned resources (worker pools, the persistent cache).
+        """Release owned resources (solver sessions, the persistent cache).
         Caller-provided strategy/cache instances are left running."""
         with self._lock:
             if self._closed:
@@ -423,7 +411,6 @@ class Workspace:
                 strategy="serial" if self._serial else self._runner,
                 cache=self.cache,
                 search=self.search if search is None else search,
-                max_workers=self.max_workers,
                 progress=on_progress,
                 budget=budget,
                 **search_options,
@@ -478,7 +465,7 @@ class Workspace:
         if measure:
             emit(on_progress, "protect.measure", benchmark=benchmark.name,
                  clients=clients)
-            overhead = measure_overhead(benchmark, clients=clients)
+            overhead = measure_overhead(benchmark, plan=plan, clients=clients)
         emit(on_progress, "protect.done", benchmark=benchmark.name,
              passed=verdict.passed)
         return ruleset, verdict, overhead
@@ -650,7 +637,7 @@ class Workspace:
 
     def stats(self) -> dict:
         """Operational counters for ``/v1/stats``: cache hit rates,
-        warm-session/shard counters, request totals."""
+        warm-session counters, request totals."""
         from repro import __version__
 
         with self._lock:
@@ -665,11 +652,8 @@ class Workspace:
                     "entries": len(cache),
                 }
             sessions: Dict[str, int] = {}
-            counters = getattr(self._runner, "counters", None)
-            if callable(counters):
-                sessions = dict(counters())
             pool = getattr(self._runner, "pool", None)
-            if not sessions and pool is not None and hasattr(pool, "counters"):
+            if pool is not None and hasattr(pool, "counters"):
                 sessions = dict(pool.counters())
             return {
                 "version": __version__,

@@ -12,8 +12,7 @@ same code path by construction:
   saves the rewrite plan as JSON, ``--plan-in`` *replays* a saved plan
   instead of searching (no oracle work);
 - ``repro bench`` -- time the repair search per benchmark: the serial
-  seed oracle against a warm strategy (incremental by default,
-  ``--strategy parallel-incremental`` for the sharded worker pool);
+  seed oracle against a warm strategy (incremental by default);
 - ``repro serve`` -- run the JSON-over-HTTP service
   (:mod:`repro.service`): a durable sqlite job queue (``--job-db``)
   drained by ``--workers`` N worker processes, with admission control
@@ -25,11 +24,12 @@ same code path by construction:
   against the committed ``schemas/`` goldens.
 
 ``--strategy`` contract (see :func:`repro.api.requested_strategy`): the
-default is the serial seed loop; passing ``--cache-dir``/``--workers``
-without a strategy upgrades to ``auto`` with a note, and an *explicit*
-``--strategy serial`` is respected -- the flags are then genuinely
-unused: no cache is opened, no pool is built, and no cache summary is
-printed.
+default is the serial seed loop; passing ``--cache-dir`` without a
+strategy upgrades to ``auto`` with a note, and an *explicit*
+``--strategy serial`` is respected -- the flag is then genuinely
+unused: no cache is opened and no cache summary is printed.  The
+deprecated ``parallel`` and ``parallel-incremental`` run the in-process
+incremental strategy, with a note saying so.
 
 Every subcommand exits non-zero on failure and prints plain text
 (``repro.exp.reporting``) so output diffs cleanly in CI logs.
@@ -63,13 +63,11 @@ def _pick_benchmarks(names: Sequence[str]) -> List:
 
 
 def _resolved_strategy(args) -> str:
-    """Apply the documented --strategy/--cache-dir/--workers contract,
-    printing the note when a flag changed or lost its meaning."""
+    """Apply the documented --strategy/--cache-dir contract, printing
+    the note when a flag changed or lost its meaning."""
     from repro.api import requested_strategy
 
-    strategy, note = requested_strategy(
-        args.strategy, args.cache_dir, args.workers
-    )
+    strategy, note = requested_strategy(args.strategy, args.cache_dir)
     if note:
         print(note)
     return strategy
@@ -77,14 +75,13 @@ def _resolved_strategy(args) -> str:
 
 def _workspace(args, strategy: str):
     """One workspace per invocation, honouring the strategy contract:
-    under an (explicit) serial strategy no cache is opened and no pool
-    is built -- the flags were already declared unused."""
+    under an (explicit) serial strategy no cache is opened -- the flag
+    was already declared unused."""
     from repro.api import Workspace
 
     return Workspace(
         strategy=strategy,
         cache_dir=args.cache_dir if strategy != "serial" else None,
-        max_workers=args.workers,
         search=getattr(args, "search", "greedy"),
     )
 
@@ -202,7 +199,6 @@ def cmd_repair(args) -> int:
             for flag, value in (
                 ("--strategy", args.strategy),
                 ("--cache-dir", args.cache_dir),
-                ("--workers", args.workers),
             )
             if value
         ]
@@ -311,10 +307,9 @@ def cmd_bench(args) -> int:
         small = {"TPC-C", "SmallBank", "Courseware"}
         benches = [b for b in benches if b.name in small]
     rows = []
+    strategy = _resolved_strategy(args)
     with Workspace(strategy="serial") as serial_ws, Workspace(
-        strategy=args.strategy,
-        cache_dir=args.cache_dir,
-        max_workers=args.workers,
+        strategy=strategy, cache_dir=args.cache_dir
     ) as warm_ws:
         for bench in benches:
             serial_row = run_table1_row(
@@ -394,7 +389,7 @@ def _report_bench(args, warm_ws, rows) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.api import Workspace, WorkspaceConfig, requested_strategy
+    from repro.api import Workspace, WorkspaceConfig
     from repro.service import serve
 
     if args.fail:
@@ -422,19 +417,11 @@ def cmd_serve(args) -> int:
     if args.strategy is None:
         strategy = "auto"
     else:
-        strategy, note = requested_strategy(
-            args.strategy, args.cache_dir, args.strategy_workers
-        )
-        if note:
-            print(note)
+        strategy = _resolved_strategy(args)
     cache_dir = args.cache_dir if strategy != "serial" else None
     # Worker processes get the same recipe the server workspace uses
     # (WorkspaceConfig.for_worker gives each its own cache subdir).
-    worker_config = WorkspaceConfig(
-        strategy=strategy,
-        cache_dir=cache_dir,
-        max_workers=args.strategy_workers,
-    )
+    worker_config = WorkspaceConfig(strategy=strategy, cache_dir=cache_dir)
     tenant_weights = {}
     for spec in args.tenant_weight or []:
         name, sep, weight = spec.partition("=")
@@ -452,11 +439,7 @@ def cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    with Workspace(
-        strategy=strategy,
-        cache_dir=cache_dir,
-        max_workers=args.strategy_workers,
-    ) as ws:
+    with Workspace(strategy=strategy, cache_dir=cache_dir) as ws:
         serve(
             ws,
             host=args.host,
@@ -557,7 +540,7 @@ def _oracle_flags(parser, strategies=STRATEGIES, default=None) -> None:
     parser.add_argument(
         "--strategy",
         choices=strategies,
-        # None = "serial", unless --cache-dir/--workers upgrade to "auto"
+        # None = "serial", unless --cache-dir upgrades to "auto"
         # (see repro.api.requested_strategy).
         default=default,
     )
@@ -566,12 +549,6 @@ def _oracle_flags(parser, strategies=STRATEGIES, default=None) -> None:
         "--cache-dir",
         metavar="DIR",
         help="persist oracle query outcomes under DIR (warm-starts reruns)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="worker processes for the pool strategies (default: cpu count)",
     )
 
 
@@ -698,13 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="service worker processes draining the job queue (default: 0 "
         "= run jobs on an in-process thread)",
-    )
-    sv.add_argument(
-        "--strategy-workers",
-        type=int,
-        metavar="N",
-        help="threads per workspace for the pool strategies "
-        "(default: cpu count)",
     )
     sv.add_argument(
         "--job-db",

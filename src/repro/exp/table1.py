@@ -168,8 +168,8 @@ def run_table1(
     """The full Table 1 sweep (a thin wrapper over
     :class:`repro.api.Workspace`).
 
-    One workspace -- one strategy instance (and its worker pool, if
-    any) plus one memo cache -- is shared across all rows.  A
+    One workspace -- one strategy instance (and its warm solver
+    sessions, if any) plus one memo cache -- is shared across all rows.  A
     ``cache_dir`` (ignored when an explicit ``cache`` is given) makes
     that shared cache persistent, so a repeated sweep -- even in a fresh
     process -- warm-starts from the previous run's query outcomes.

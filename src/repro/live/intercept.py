@@ -53,11 +53,17 @@ class LiveInterceptor:
 
     One interceptor serves one execution (a single history); rule
     counters accumulate on the shared rule set across interceptors.
+
+    Shadow state is keyed by the :class:`Instance` object itself (hashed
+    by identity), not by ``id(instance)``: ``run_serial`` drops each
+    finished instance, and a later one could reuse its address and
+    inherit its shadow.  Holding the key keeps every instance alive for
+    the interceptor's lifetime.
     """
 
     def __init__(self, ruleset: RuleSet):
         self.ruleset = ruleset
-        self._envs: Dict[int, _ShadowEnv] = {}
+        self._envs: Dict[Instance, _ShadowEnv] = {}
 
     # The scheduler calls the executor exactly like execute_command.
     def __call__(
@@ -108,14 +114,14 @@ class LiveInterceptor:
     # -- shadow bookkeeping ------------------------------------------------
 
     def _env(self, instance: Instance) -> _ShadowEnv:
-        env = self._envs.get(id(instance))
+        env = self._envs.get(instance)
         if env is None:
             shadow = Instance(instance.iid, self.ruleset.live_program, instance.call)
             # Share the loop-counter stack so live expressions see the
             # original instance's iteration state.
             shadow.iter_stack = instance.iter_stack
             env = _ShadowEnv(shadow=shadow)
-            self._envs[id(instance)] = env
+            self._envs[instance] = env
         return env
 
     # -- binding translation ----------------------------------------------

@@ -27,12 +27,15 @@ import random
 from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.analysis.oracle import AnomalyOracle
 from repro.corpus import Benchmark
 from repro.live.compile import compile_plan
 from repro.live.intercept import LiveInterceptor
 from repro.live.rules import RuleSet
 from repro.refactor.migrate import migrate_database
 from repro.repair import repair
+from repro.repair.engine import replay_plan
+from repro.repair.plan import RewritePlan
 from repro.repair.search import simulated_throughput_probe
 from repro.semantics.scheduler import run_serial
 from repro.store.network import US_CLUSTER, ClusterSpec
@@ -166,6 +169,7 @@ class OverheadMeasurement:
 def measure_overhead(
     bench: Benchmark,
     *,
+    plan: Optional[RewritePlan] = None,
     cluster: Optional[ClusterSpec] = None,
     config: Optional[PerfConfig] = None,
     clients: int = 16,
@@ -180,23 +184,32 @@ def measure_overhead(
     lets the rewriter swap in the enforced op streams with their
     surcharges, mirroring how a running store would experience a
     ``protect`` rollout.  Fully deterministic for fixed arguments.
+
+    ``plan`` defaults to the benchmark's own greedy repair; a given plan
+    is replayed instead, as
+    :func:`~repro.live.validate.validate_benchmark` does.  Its residual
+    pairs are what the seed oracle finds in the replayed program -- the
+    pairs the repair search reports for the plan it found.
     """
     cluster = cluster or US_CLUSTER
     program = bench.program()
-    report = repair(program)
+    if plan is None:
+        report = repair(program)
+        residual = report.residual_pairs
+    else:
+        report = replay_plan(program, plan)
+        residual = AnomalyOracle().analyze(report.repaired_program).pairs
     ruleset = compile_plan(program, report.plan)
 
     probe = simulated_throughput_probe(
         bench, cluster, config, clients=clients, scale=scale, seed=seed
     )
-    predicted = probe(
-        report.repaired_program, report.residual_pairs, report.rewrites
-    )
+    predicted = probe(report.repaired_program, residual, report.rewrites)
 
     # The live store still runs the *original* application; residual
     # anomalies survive the repair either way, so the same transactions
     # get the serializable flag as in the probe's AT-SC configuration.
-    flagged = {p.txn for p in report.residual_pairs}
+    flagged = {p.txn for p in residual}
     txns = tuple(
         dc_replace(t, serializable=True) if t.name in flagged else t
         for t in program.transactions

@@ -102,11 +102,8 @@ class RepairEngine:
     solver session per focus triple -- which is what makes cost-guided
     searches (``search="beam"``) affordable: every candidate plan's
     residual count lands on the same
-    :class:`~repro.analysis.oracle.OracleSession` pool.  On multi-core
-    hosts ``strategy="parallel-incremental"`` goes further: beam search
-    scores each candidate generation through one batched oracle call, so
-    the generation's queries fan out across the sharded warm-session
-    workers concurrently.
+    :class:`~repro.analysis.oracle.OracleSession` pool, and beam search
+    scores each candidate generation through one batched oracle call.
 
     ``search`` selects the plan-search strategy: ``"greedy"`` (default;
     reproduces the historical engine exactly), ``"beam"``, ``"random"``,
@@ -123,7 +120,6 @@ class RepairEngine:
         strategy: object = "serial",
         cache: Optional[object] = None,
         search: object = "greedy",
-        max_workers: Optional[int] = None,
         progress=None,
         budget=None,
         **search_options: object,
@@ -133,7 +129,6 @@ class RepairEngine:
             use_prefilter,
             strategy=strategy,
             cache=cache,
-            max_workers=max_workers,
             progress=progress,
             budget=budget,
         )
@@ -148,7 +143,7 @@ class RepairEngine:
             pass
 
     def close(self) -> None:
-        """Release the oracle's strategy resources (worker pools)."""
+        """Release the oracle's strategy resources (solver sessions)."""
         self.oracle.close()
 
     def repair(self, program: ast.Program) -> RepairReport:
@@ -175,19 +170,16 @@ def repair(
     strategy: object = "serial",
     cache: Optional[object] = None,
     search: object = "greedy",
-    max_workers: Optional[int] = None,
     progress=None,
     **search_options: object,
 ) -> RepairReport:
     """Run the full repair pipeline on ``program``.
 
-    A strategy given by name is owned by this call and torn down (worker
-    pools included) before returning; a strategy *instance* belongs to
-    the caller and is left running for reuse.  ``max_workers`` sizes the
-    process-pool strategies (``"parallel"``, ``"parallel-incremental"``,
-    ``"auto"``); ``cache`` may be a
-    :class:`~repro.analysis.pipeline.PersistentQueryCache` to warm-start
-    the oracle from an earlier run's outcomes.
+    A strategy given by name is owned by this call and torn down (warm
+    solver sessions included) before returning; a strategy *instance*
+    belongs to the caller and is left running for reuse.  ``cache`` may
+    be a :class:`~repro.analysis.pipeline.PersistentQueryCache` to
+    warm-start the oracle from an earlier run's outcomes.
     """
     engine = RepairEngine(
         level,
@@ -195,7 +187,6 @@ def repair(
         strategy=strategy,
         cache=cache,
         search=search,
-        max_workers=max_workers,
         progress=progress,
         **search_options,
     )

@@ -35,11 +35,9 @@ closed-loop throughput of their AT-SC variant on the store simulator
 
 Beam search scores each generation of candidates through
 ``CostModel.evaluate_many``, which routes all candidates' residual
-analyses into one ``oracle.analyze_many`` fan-out; with
-``AnomalyOracle(strategy="parallel-incremental")`` the whole
-generation's SAT queries run concurrently across the sharded
-warm-session workers instead of one candidate at a time.  Scores (and
-therefore search results) are identical under every execution strategy.
+analyses into one ``oracle.analyze_many`` call, so queries the
+candidates share are solved once.  Scores (and therefore search
+results) are identical under every execution strategy.
 """
 
 from __future__ import annotations
@@ -307,9 +305,7 @@ class CostModel:
 
         All candidates' residual analyses go through one
         :meth:`~repro.analysis.oracle.AnomalyOracle.analyze_many` call,
-        so a fan-out oracle strategy (``"parallel-incremental"``)
-        overlaps every candidate's SAT queries across its warm shard
-        workers instead of analyzing candidates serially.  Scores are
+        which solves the queries the candidates share only once.  Scores are
         identical to per-candidate :meth:`evaluate` calls -- analysis is
         deterministic and order-independent -- so search results do not
         depend on the oracle's execution strategy.
@@ -522,9 +518,7 @@ class BeamSearch:
                         score=state.score,
                     )
                 )
-            # Score the whole generation in one oracle fan-out: with a
-            # parallel-incremental strategy every candidate's residual
-            # analysis runs concurrently on the warm shard workers.
+            # Score the whole generation in one batched oracle call.
             scored = self.cost_model.evaluate_many(
                 [(s.program, s.ctx) for s in fresh], oracle
             )

@@ -16,9 +16,7 @@ invariant experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
-
-import networkx as nx
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.semantics.events import Event, WRITE
 from repro.semantics.state import DatabaseState
@@ -138,15 +136,53 @@ def is_serializable(history: History) -> bool:
     acyclic.  This is the checker the dynamic experiments use to count
     anomalous executions.
     """
-    graph = serialization_graph(history)
-    return nx.is_directed_acyclic_graph(graph)
+    return is_acyclic(serialization_graph(history))
 
 
-def serialization_graph(history: History) -> "nx.DiGraph":
+#: A directed graph as an adjacency dict: every node is a key, mapped to
+#: the set of its successors.
+Graph = Dict[Hashable, Set[Hashable]]
+
+
+def is_acyclic(graph: Graph) -> bool:
+    """Whether ``graph`` has no directed cycle (self-loops included).
+
+    Iterative depth-first search with the usual three colours, so deep
+    graphs cannot hit the interpreter's recursion limit: reaching a node
+    that is still on the DFS path (grey) closes a cycle.
+    """
+    done: Set[Hashable] = set()
+    on_path: Set[Hashable] = set()
+    for root in graph:
+        if root in done:
+            continue
+        on_path.add(root)
+        stack = [(root, iter(graph[root]))]
+        while stack:
+            node, successors = stack[-1]
+            for succ in successors:
+                if succ in on_path:
+                    return False
+                if succ not in done:
+                    on_path.add(succ)
+                    stack.append((succ, iter(graph[succ])))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                done.add(node)
+    return True
+
+
+def serialization_graph(history: History) -> Graph:
+    """The history's DSG over transaction instances (see
+    :func:`is_serializable`), as an adjacency dict."""
     state = history.state
-    graph = nx.DiGraph()
-    for instance in history.instances:
-        graph.add_node(instance)
+    graph: Graph = {instance: set() for instance in history.instances}
+
+    def add_edge(src, dst) -> None:
+        graph.setdefault(src, set()).add(dst)
+        graph.setdefault(dst, set())
 
     writes_by_loc: Dict[Tuple, List[Event]] = {}
     for ev in state.events:
@@ -158,7 +194,7 @@ def serialization_graph(history: History) -> "nx.DiGraph":
         for i in range(len(evs)):
             for j in range(i + 1, len(evs)):
                 if evs[i].txn != evs[j].txn:
-                    graph.add_edge(evs[i].txn, evs[j].txn, kind="ww")
+                    add_edge(evs[i].txn, evs[j].txn)
 
     for step in history.steps:
         view = step.view
@@ -172,13 +208,13 @@ def serialization_graph(history: History) -> "nx.DiGraph":
             if visible:
                 src = max(visible, key=lambda w: (w.ts, w.eid))
                 if src.txn != step.instance:
-                    graph.add_edge(src.txn, step.instance, kind="wr")
+                    add_edge(src.txn, step.instance)  # wr
                 # Anti-dependency: writes newer than what we read.
                 for w in writes:
                     if w.ts > src.ts and w.txn not in (step.instance, src.txn):
-                        graph.add_edge(step.instance, w.txn, kind="rw")
+                        add_edge(step.instance, w.txn)  # rw
             else:
                 # Read from the initial database: every write is newer.
                 for w in invisible:
-                    graph.add_edge(step.instance, w.txn, kind="rw")
+                    add_edge(step.instance, w.txn)  # rw
     return graph

@@ -14,8 +14,6 @@ from repro.analysis import (
 )
 from repro.analysis.pipeline import (
     IncrementalStrategy,
-    ParallelIncrementalStrategy,
-    ParallelStrategy,
     SerialStrategy,
     fingerprint_command,
     fingerprint_summary,
@@ -184,10 +182,9 @@ class TestStrategyEquivalence:
         assert serial.pairs_checked == cached.pairs_checked
 
     def test_parallel_matches_serial(self, courseware):
+        """The deprecated ``"parallel"`` name still gives serial's pairs."""
         serial = AnomalyOracle(EC).analyze(courseware)
-        oracle = AnomalyOracle(
-            EC, strategy=ParallelStrategy(max_workers=2)
-        )
+        oracle = AnomalyOracle(EC, strategy="parallel")
         try:
             parallel = oracle.analyze(courseware)
         finally:
@@ -214,15 +211,8 @@ class TestStrategyEquivalence:
 class TestStrategyResolution:
     def test_names_resolve(self):
         assert isinstance(resolve_strategy("cached"), SerialStrategy)
-        assert isinstance(resolve_strategy("incremental"), IncrementalStrategy)
-        assert isinstance(resolve_strategy("parallel"), ParallelStrategy)
-        auto = resolve_strategy("auto")
-        # Multi-core hosts get the sharded warm-session pool;
-        # single-core hosts use in-process warm sessions.
-        assert isinstance(
-            auto, (IncrementalStrategy, ParallelIncrementalStrategy)
-        )
-        auto.close()
+        for name in ("incremental", "auto", "parallel", "parallel-incremental"):
+            assert isinstance(resolve_strategy(name), IncrementalStrategy)
 
     def test_instance_passthrough(self):
         runner = SerialStrategy()
@@ -233,10 +223,9 @@ class TestStrategyResolution:
             resolve_strategy("warp-speed")
 
     def test_single_worker_parallel_degrades_in_process(self, courseware):
-        strategy = ParallelStrategy(max_workers=1)
-        oracle = AnomalyOracle(EC, strategy=strategy)
+        oracle = AnomalyOracle(EC, strategy="parallel")
         report = oracle.analyze(courseware)
-        assert strategy._executor is None  # never spun up a pool
+        assert isinstance(oracle._pipeline.strategy, IncrementalStrategy)
         assert len(report.pairs) == 5
 
 

@@ -310,8 +310,6 @@ class TestStrategyContract:
     def test_flags_upgrade_default_to_auto(self):
         strategy, note = requested_strategy(None, cache_dir="/tmp/x")
         assert strategy == "auto" and "--cache-dir" in note
-        strategy, note = requested_strategy(None, workers=2)
-        assert strategy == "auto" and "--workers" in note
 
     def test_explicit_serial_is_respected(self):
         strategy, note = requested_strategy("serial", cache_dir="/tmp/x")
@@ -322,6 +320,12 @@ class TestStrategyContract:
             "incremental",
             None,
         )
+
+    def test_pooled_names_note_their_deprecation(self):
+        for name in ("parallel", "parallel-incremental"):
+            strategy, note = requested_strategy(name)
+            assert strategy == name
+            assert "deprecated" in note and "\n" not in note
 
 
 class TestVersionSingleSourcing:

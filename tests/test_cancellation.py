@@ -15,10 +15,11 @@ import time
 import pytest
 
 from repro import faults
-from repro.api import AnalyzeRequest, Workspace
+from repro.api import AnalyzeRequest, RepairRequest, Workspace
 from repro.api.schema import all_schemas, validate
 from repro.faults import FaultPlan, FaultRule
 from repro.service.server import ReproService
+from repro.service.workers import CANCEL_POLL_INTERVAL
 
 
 def post(service, path, body=None):
@@ -99,38 +100,47 @@ class TestQueuedCancel:
 
 class TestRunningCancel:
     def test_running_job_lands_cancelled(self):
-        """Slow the solver down (seeded delay faults), catch the job
-        mid-run, cancel, and watch it land terminal ``cancelled`` --
-        the acceptance criterion for cooperative cancellation."""
+        """Slow the job down (seeded delay faults), catch it mid-run,
+        cancel, and watch it land terminal ``cancelled`` -- the
+        acceptance criterion for cooperative cancellation.
+
+        The delay sits on ``events.write``, which every persisted
+        progress event of the job passes through, and outlasts the
+        worker's cancel-poll interval, so every event polls the cancel
+        flag.  A repair job emits dozens of events (an analyze job only
+        three), so the cancel, which waits for the store lock the
+        delayed write holds, lands long before the job's last poll."""
         plan = FaultPlan(
             0,
             [
                 FaultRule(
-                    site="solver.propagate", action="delay",
-                    p=1.0, times=0, delay_s=0.02,
+                    site="events.write", action="delay",
+                    p=1.0, times=0, delay_s=2 * CANCEL_POLL_INTERVAL,
                 )
             ],
         )
         faults.activate(plan)
-        # The incremental strategy solves in *this* process, where the
-        # delay plan is active -- an auto/parallel workspace would do
-        # its solver work in pool processes the plan never slows down,
-        # and the job could outrun the cancel.
         workspace = Workspace(strategy="incremental")
         service = ReproService(workspace)
         try:
-            job_id = submit(service, benchmark="TPC-C")
+            status, payload = post(
+                service, "/v1/jobs", RepairRequest(benchmark="TPC-C").to_json()
+            )
+            assert status == 202, payload
+            job_id = payload["id"]
             deadline = time.monotonic() + 60
             status_seen = None
             while time.monotonic() < deadline:
                 _, doc = get(service, f"/v1/jobs/{job_id}")
                 status_seen = doc["status"]
-                if status_seen != "queued":
+                if status_seen != "queued" and plan.schedule:
                     break
                 time.sleep(0.005)
             assert status_seen == "running", (
                 f"job never observed running (last: {status_seen})"
             )
+            # The delay fired: the job is being slowed, not racing.
+            assert plan.schedule, "the events.write delay never fired"
             status, payload = post(service, f"/v1/jobs/{job_id}/cancel")
             assert status == 200
             assert payload["status"] == "cancelling"

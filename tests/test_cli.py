@@ -193,11 +193,9 @@ class TestBenchCommand:
         )
         out = capsys.readouterr().out
         assert "--cache-dir ignored" in out
-        # --workers under the default strategy upgrades the same way.
-        assert main(["table1", "--benchmark", "SIBench", "--workers", "2"]) == 0
-        assert "using --strategy auto" in capsys.readouterr().out
 
     def test_bench_parallel_incremental_strategy(self, tmp_path, capsys):
+        """The deprecated pooled name runs in process, with a note."""
         out_file = tmp_path / "bench.json"
         assert (
             main(
@@ -207,16 +205,15 @@ class TestBenchCommand:
                     "SIBench",
                     "--strategy",
                     "parallel-incremental",
-                    "--workers",
-                    "2",
                     "--json",
                     str(out_file),
                 ]
             )
             == 0
         )
+        assert "parallel-incremental is deprecated" in capsys.readouterr().out
         data = json.loads(out_file.read_text())
-        assert data["strategy"] == "parallel-incremental[2]"
+        assert data["strategy"] == "incremental"
         (row,) = data["rows"]
         assert row["plan_steps"] == 2
 
@@ -312,15 +309,15 @@ class TestStrategyContract:
                     str(plan_file),
                     "--strategy",
                     "parallel-incremental",
-                    "--workers",
-                    "2",
+                    "--cache-dir",
+                    str(tmp_path / "cache"),
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "--plan-in replays" in out
-        assert "--strategy/--workers ignored" in out
+        assert "--strategy/--cache-dir ignored" in out
 
 
 class TestSchemasCommand:

@@ -110,6 +110,31 @@ class TestInterceptor:
                 # skipped because a merge partner already ran them.
                 assert rule.rewrites + rule.skips > 0
 
+    @pytest.mark.parametrize("name", ["SmallBank", "Wikipedia", "TPC-C"])
+    def test_shadow_state_survives_address_reuse(self, name, monkeypatch):
+        """``run_serial`` drops each finished instance, so a later one
+        may get its address.  Shadow state keyed by ``id(instance)``
+        then leaked across instances (``unbound argument``); forcing
+        every ``id`` in the interceptor module to collide shows the
+        state is keyed by the instance itself."""
+        import repro.live.intercept as intercept
+        from repro.live.validate import corpus_calls
+
+        bench, program, _, ruleset = _compiled(name)
+
+        def replay():
+            live_db = migrate_database(
+                bench.database(2), ruleset.live_program, ruleset.rewrites
+            )
+            calls = corpus_calls(bench, random.Random(3), 2)
+            return run_serial(
+                program, live_db, calls, executor=LiveInterceptor(ruleset)
+            )
+
+        expected = replay().results
+        monkeypatch.setattr(intercept, "id", lambda obj: 0, raising=False)
+        assert replay().results == expected
+
     def test_reset_counters(self):
         ruleset, _, _ = self._serial_pair("Courseware")
         ruleset.reset_counters()
@@ -186,6 +211,22 @@ class TestOverhead:
             BY_NAME["SIBench"], config=self.CFG, clients=4, scale=2
         )
         assert a.to_json() == b.to_json()
+
+    def test_measures_the_plan_it_is_given(self):
+        """A cut plan compiles fewer rewriting rules than the full
+        repair; the measurement must price the cut plan's rules."""
+        from repro.repair.plan import RewritePlan
+
+        plan = repair(BY_NAME["TPC-C"].program()).plan
+        cut = RewritePlan(plan.steps[:1])
+        with Workspace(strategy="serial") as ws:
+            ruleset, _, overhead = ws.protect_program(
+                "TPC-C", cut, samples=5, measure=True, clients=4
+            )
+        assert overhead.rewritten_rules == ruleset.rewritten_rule_count()
+        assert overhead.rewritten_rules < compile_plan(
+            BY_NAME["TPC-C"].program(), plan
+        ).rewritten_rule_count()
 
     def test_rewriter_falls_back_on_unknown_txn(self):
         from repro.store.profile import OpProfile

@@ -1,42 +1,36 @@
-"""Sharded warm-session workers: differential equivalence, shard
-affinity, degradation, and the batched beam-search fan-out.
+"""The retired pooled strategy names on the single in-process path.
 
-The differential class is this PR's acceptance gate, extending the
-``tests/test_oracle_session.py`` pattern across the process boundary:
-for every corpus program, every focus pair x interferer, and every
-anomaly mode (EC/CC/RR/SC), the :class:`ParallelIncrementalStrategy`
-verdict must equal the cold ``solve_query`` verdict, EC witnesses must
-be exact, and *every* worker outcome (witness, ``solved`` flag) must
-equal an in-process :class:`OracleSession` shadow replay fed the same
-per-shard query sequence -- the workers run exactly the warm-session
-code the in-process differential suite already validates semantically,
-so outcome equality transfers those guarantees across the pool.
+``"parallel"``, ``"parallel-incremental"`` and ``"auto"`` once sent the
+oracle's queries to worker processes.  They now resolve to the
+in-process :class:`IncrementalStrategy`; these tests pin that, and that
+everything the pooled runners were checked for still holds through the
+names: verdicts equal to the cold ``solve_query`` for every corpus
+program, pair, interferer and anomaly mode (EC/CC/RR/SC), reports equal
+to the serial seed oracle, batched ``analyze_many`` and level sweeps
+equal to their one-at-a-time forms, and one warm session per triple.
 """
+
+import os
 
 import pytest
 
 from repro.analysis import (
     CC,
     EC,
-    OracleSession,
     RR,
     SC,
     AnomalyOracle,
-    ParallelIncrementalStrategy,
     summarize_program,
 )
 from repro.analysis.pipeline import (
     IncrementalStrategy,
-    ParallelStrategy,
     QueryPlanner,
     resolve_strategy,
-    shard_of,
     solve_query,
 )
 from repro.corpus import ALL_BENCHMARKS, BY_NAME
 
 ALL_LEVELS = (EC, CC, RR, SC)
-WORKERS = 2
 
 
 def canonical(pairs):
@@ -55,39 +49,27 @@ def canonical(pairs):
 
 
 class TestDifferential:
-    """Worker outcomes against the cold solver and an in-process shadow
-    pool, corpus-wide, all levels."""
+    """A pooled name's strategy against the cold solver, corpus-wide,
+    all levels, one ``run`` call per level."""
 
     @pytest.mark.parametrize("bench", ALL_BENCHMARKS, ids=lambda b: b.name)
     def test_all_pairs_all_modes(self, bench):
         summaries = summarize_program(bench.program())
         planner = QueryPlanner()
-        # work_stealing off: the shadow replay below needs every triple
-        # to stay on its sha1 shard (a stolen chunk warms the thief's
-        # pool instead).
-        strategy = ParallelIncrementalStrategy(
-            max_workers=WORKERS, work_stealing=False
-        )
-        # One shadow pool per shard, fed the exact per-shard sequence the
-        # worker receives: equality proves the pool faithfully runs the
-        # in-process warm-session code on every query.
-        shadow_pools = {w: OracleSession() for w in range(WORKERS)}
+        strategy = resolve_strategy("parallel-incremental")
         cold_memo = {}
         checked = 0
         try:
             for level in ALL_LEVELS:
-                plan = planner.plan(summaries, level, True)
-                specs = plan.queries()
+                specs = planner.plan(summaries, level, True).queries()
                 outcomes = strategy.run(specs, level, True)
                 assert len(outcomes) == len(specs)
                 for spec, outcome in zip(specs, outcomes):
-                    if spec.cache_key in cold_memo:
-                        cold = cold_memo[spec.cache_key]
-                    else:
-                        cold = solve_query(
+                    if spec.cache_key not in cold_memo:
+                        cold_memo[spec.cache_key] = solve_query(
                             spec.c1, spec.c2, spec.summary_b, level, True
                         )
-                        cold_memo[spec.cache_key] = cold
+                    cold = cold_memo[spec.cache_key]
                     checked += 1
                     # Hard gate: verdicts agree on every pair x mode.
                     assert (cold.witness is None) == (
@@ -104,27 +86,6 @@ class TestDifferential:
                             bench.name, spec.a_name,
                             spec.c1.label, spec.c2.label,
                         )
-                per_shard = {}
-                for position, spec in enumerate(specs):
-                    per_shard.setdefault(
-                        shard_of(spec.cache_key, WORKERS), []
-                    ).append((position, spec))
-                for worker, items in per_shard.items():
-                    pool = shadow_pools[worker]
-                    for position, spec in items:
-                        shadow = pool.solve(
-                            spec.c1,
-                            spec.c2,
-                            spec.summary_b,
-                            level,
-                            True,
-                            key=spec.cache_key[:3] + (True,),
-                        )
-                        assert shadow.witness == outcomes[position].witness, (
-                            bench.name, level.name, spec.a_name,
-                            spec.c1.label, spec.c2.label, spec.summary_b.name,
-                        )
-                        assert shadow.solved == outcomes[position].solved
         finally:
             strategy.close()
         assert checked > 0
@@ -135,16 +96,14 @@ class TestReportEquivalence:
     def test_identical_pairs_vs_serial(self, name):
         program = BY_NAME[name].program()
         serial = AnomalyOracle(EC).analyze(program)
-        oracle = AnomalyOracle(
-            EC, strategy=ParallelIncrementalStrategy(max_workers=WORKERS)
-        )
+        oracle = AnomalyOracle(EC, strategy="parallel-incremental")
         try:
             report = oracle.analyze(program)
         finally:
             oracle.close()
         assert canonical(serial.pairs) == canonical(report.pairs)
         assert serial.pairs_checked == report.pairs_checked
-        assert report.strategy == f"parallel-incremental[{WORKERS}]"
+        assert report.strategy == "incremental"
 
     def test_analyze_many_matches_per_program_analyze(self, courseware):
         """Regression: batched specs from several plans carry colliding
@@ -152,10 +111,7 @@ class TestReportEquivalence:
         from repro.repair.engine import repair
 
         repaired = repair(courseware).repaired_program
-        for strategy in (
-            ParallelIncrementalStrategy(max_workers=WORKERS),
-            ParallelStrategy(max_workers=WORKERS),
-        ):
+        for strategy in ("parallel-incremental", "parallel", "cached"):
             oracle = AnomalyOracle(EC, strategy=strategy)
             try:
                 batched = oracle.analyze_many([courseware, repaired])
@@ -174,25 +130,11 @@ class TestReportEquivalence:
 
 
 class TestShardAffinity:
-    def test_shard_routing_is_stable_and_level_independent(self, courseware):
-        summaries = summarize_program(courseware)
-        planner = QueryPlanner()
-        by_triple = {}
-        for level in ALL_LEVELS:
-            for spec in planner.plan(summaries, level, True).queries():
-                shard = shard_of(spec.cache_key, 4)
-                assert 0 <= shard < 4
-                triple = spec.cache_key[:3]
-                assert by_triple.setdefault(triple, shard) == shard
+    """What shard affinity bought the pool -- a triple's level sweeps
+    all land on one warm solver -- holds trivially in one process."""
 
     def test_sessions_never_rebuilt_cold_twice(self, courseware):
-        """Level sweeps on one strategy instance reuse each triple's
-        warm worker session instead of re-creating it (strict affinity
-        needs work stealing off: a stolen chunk builds cold on the
-        thief)."""
-        strategy = ParallelIncrementalStrategy(
-            max_workers=WORKERS, work_stealing=False
-        )
+        strategy = resolve_strategy("parallel-incremental")
         summaries = summarize_program(courseware)
         planner = QueryPlanner()
         total_specs = 0
@@ -201,7 +143,7 @@ class TestShardAffinity:
                 specs = planner.plan(summaries, level, True).queries()
                 total_specs += len(specs)
                 strategy.run(specs, level, True)
-            counters = strategy.counters()
+            counters = strategy.pool.counters()
         finally:
             strategy.close()
         triples = {
@@ -216,67 +158,13 @@ class TestShardAffinity:
 
 
 class TestWorkStealing:
-    """The chunked scheduler: a worker whose queue runs dry steals the
-    tail of the longest queue instead of idling."""
-
-    def test_skewed_shard_is_stolen(self, courseware, monkeypatch):
-        import repro.analysis.pipeline as pipeline_module
-
-        summaries = summarize_program(courseware)
-        specs = QueryPlanner().plan(summaries, EC, True).queries()
-        # Skew: route every triple to shard 0, so worker 1 starts idle
-        # and can only make progress by stealing.
-        monkeypatch.setattr(
-            pipeline_module, "shard_of", lambda key, shards: 0
-        )
-        strategy = ParallelIncrementalStrategy(max_workers=WORKERS)
-        try:
-            outcomes = strategy.run(specs, EC, True)
-            stats = strategy.shard_stats()
-        finally:
-            strategy.close()
-        assert len(outcomes) == len(specs)
-        for spec, outcome in zip(specs, outcomes):
-            cold = solve_query(spec.c1, spec.c2, spec.summary_b, EC, True)
-            assert (cold.witness is None) == (outcome.witness is None)
-        # The idle worker stole and did real work: no worker idles
-        # while another's queue is non-empty.
-        assert stats["steal_count"] > 0
-        by_worker = {w["worker"]: w for w in stats["workers"]}
-        assert by_worker[1]["chunks"] > 0
-        assert by_worker[1]["stolen_chunks"] > 0
-        assert by_worker[0]["utilization"] > 0
-        assert stats["scheduler_seconds"] > 0
-
-    def test_stealing_disabled_leaves_skewed_queue_alone(
-        self, courseware, monkeypatch
-    ):
-        import repro.analysis.pipeline as pipeline_module
-
-        summaries = summarize_program(courseware)
-        specs = QueryPlanner().plan(summaries, EC, True).queries()
-        monkeypatch.setattr(
-            pipeline_module, "shard_of", lambda key, shards: 0
-        )
-        strategy = ParallelIncrementalStrategy(
-            max_workers=WORKERS, work_stealing=False
-        )
-        try:
-            outcomes = strategy.run(specs, EC, True)
-            stats = strategy.shard_stats()
-        finally:
-            strategy.close()
-        assert len(outcomes) == len(specs)
-        assert stats["steal_count"] == 0
-        by_worker = {w["worker"]: w for w in stats["workers"]}
-        assert by_worker[0]["chunks"] > 0
-        assert by_worker[1]["chunks"] == 0
+    """The level sweeps the work-stealing scheduler used to carry."""
 
     def test_run_levels_sweep_matches_cold_verdicts(self, courseware):
         summaries = summarize_program(courseware)
         specs = QueryPlanner().plan(summaries, EC, True).queries()
         sweep = [(EC, CC, RR) for _ in specs]
-        strategy = ParallelIncrementalStrategy(max_workers=WORKERS)
+        strategy = resolve_strategy("parallel-incremental")
         try:
             swept = strategy.run_levels(specs, sweep, True)
         finally:
@@ -298,11 +186,10 @@ class TestWorkStealing:
         summaries = summarize_program(courseware)
         specs = QueryPlanner().plan(summaries, EC, True).queries()
         sweep = [(EC, CC) for _ in specs]
-        strategy = ParallelIncrementalStrategy(max_workers=1)
+        strategy = resolve_strategy("parallel-incremental")
         try:
+            assert isinstance(strategy, IncrementalStrategy)
             swept = strategy.run_levels(specs, sweep, True)
-            assert strategy._executors is None
-            assert strategy.shard_stats()["steal_count"] == 0
         finally:
             strategy.close()
         assert len(swept) == len(specs)
@@ -311,114 +198,39 @@ class TestWorkStealing:
 
 class TestDegradation:
     def test_single_worker_runs_in_process(self, courseware):
-        strategy = ParallelIncrementalStrategy(max_workers=1)
-        oracle = AnomalyOracle(EC, strategy=strategy)
+        oracle = AnomalyOracle(EC, strategy="parallel-incremental")
         try:
             report = oracle.analyze(courseware)
-            assert strategy._executors is None  # never spun up a pool
-            assert strategy.name == "parallel-incremental[in-process]"
+            strategy = oracle._pipeline.strategy
+            assert isinstance(strategy, IncrementalStrategy)
+            assert report.strategy == "incremental"
             assert len(report.pairs) == 5
-            assert strategy.counters()["created"] > 0  # fallback pool ran
+            assert strategy.pool.counters()["created"] > 0
         finally:
             oracle.close()
-
-    def test_broken_pool_falls_back_to_in_process(self, courseware, monkeypatch):
-        strategy = ParallelIncrementalStrategy(max_workers=WORKERS)
-        spawn_attempts = []
-
-        def explode():
-            spawn_attempts.append(1)
-            raise RuntimeError("pool died")
-
-        monkeypatch.setattr(strategy, "_ensure_executors", explode)
-        serial = AnomalyOracle(EC).analyze(courseware)
-        oracle = AnomalyOracle(EC, strategy=strategy)
-        try:
-            report = oracle.analyze(courseware)
-            assert canonical(report.pairs) == canonical(serial.pairs)
-            # The breakage is sticky: later analyses go straight to the
-            # (still warm) fallback pool instead of respawning workers.
-            fallback = strategy._fallback
-            assert fallback is not None
-            warm_sessions = len(fallback.pool)
-            assert warm_sessions > 0
-            # Force the re-analysis through the strategy (the memo
-            # cache would otherwise answer it without running anything).
-            oracle.cache.clear()
-            again = oracle.analyze(courseware)
-            assert canonical(again.pairs) == canonical(serial.pairs)
-            assert len(spawn_attempts) == 1
-            assert strategy._fallback is fallback
-            assert len(fallback.pool) == warm_sessions
-            assert strategy.name == "parallel-incremental[in-process]"
-        finally:
-            oracle.close()
-
-
-class TestWorkerEntryPoints:
-    """The worker-side functions, exercised in-process (the forked
-    children run exactly this code, invisible to coverage)."""
-
-    def test_shard_worker_solve_matches_cold(self, courseware, monkeypatch):
-        import repro.analysis.pipeline as pipeline_module
-        from repro.analysis.pipeline import (
-            _shard_worker_counters,
-            _shard_worker_init,
-            _shard_worker_solve,
-        )
-
-        monkeypatch.setattr(pipeline_module, "_WORKER_SESSIONS", None)
-        assert _shard_worker_counters() == {}
-        _shard_worker_init(64)
-        summaries = summarize_program(courseware)
-        specs = QueryPlanner().plan(summaries, EC, True).queries()
-        payload = (
-            "EC",
-            True,
-            True,
-            [
-                (position, s.c1, s.c2, s.summary_b, s.cache_key[:3] + (True,))
-                for position, s in enumerate(specs)
-            ],
-        )
-        results = _shard_worker_solve(payload)
-        assert [position for position, _ in results] == list(range(len(specs)))
-        for (_, outcome), spec in zip(results, specs):
-            cold = solve_query(spec.c1, spec.c2, spec.summary_b, EC, True)
-            assert (cold.witness is None) == (outcome.witness is None)
-        counters = _shard_worker_counters()
-        assert counters["queries"] == len(specs)
-        monkeypatch.setattr(pipeline_module, "_WORKER_SESSIONS", None)
 
 
 class TestStrategyResolutionUpdates:
     def test_parallel_incremental_names_resolve(self):
-        for name in ("parallel-incremental", "parallel_incremental"):
-            strategy = resolve_strategy(name, max_workers=3)
-            assert isinstance(strategy, ParallelIncrementalStrategy)
-            assert strategy.max_workers == 3
+        for name in ("parallel-incremental", "parallel_incremental", "parallel"):
+            strategy = resolve_strategy(name)
+            assert isinstance(strategy, IncrementalStrategy)
             strategy.close()
 
-    def test_auto_picks_parallel_incremental_on_multicore(self):
-        strategy = resolve_strategy("auto", max_workers=4)
-        assert isinstance(strategy, ParallelIncrementalStrategy)
-        assert strategy.max_workers == 4
-        strategy.close()
-
-    def test_auto_picks_incremental_on_one_core(self):
-        strategy = resolve_strategy("auto", max_workers=1)
-        assert isinstance(strategy, IncrementalStrategy)
-        strategy.close()
+    def test_auto_picks_incremental_on_one_core(self, monkeypatch):
+        for cores in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            strategy = resolve_strategy("auto")
+            assert isinstance(strategy, IncrementalStrategy)
+            strategy.close()
 
     def test_auto_choice_recorded_in_report(self, courseware):
-        oracle = AnomalyOracle(
-            EC, strategy="auto", max_workers=WORKERS
-        )
+        oracle = AnomalyOracle(EC, strategy="auto")
         try:
             report = oracle.analyze(courseware)
         finally:
             oracle.close()
-        assert report.strategy == f"parallel-incremental[{WORKERS}]"
+        assert report.strategy == "incremental"
 
 
 class TestBeamFanOut:
@@ -434,13 +246,7 @@ class TestBeamFanOut:
             )
 
         serial = repair(courseware, search="beam", width=3)
-        strategy = ParallelIncrementalStrategy(max_workers=WORKERS)
-        try:
-            fanned = repair(
-                courseware, strategy=strategy, search="beam", width=3
-            )
-        finally:
-            strategy.close()
+        fanned = repair(courseware, strategy="auto", search="beam", width=3)
         assert signature(serial) == signature(fanned)
 
     def test_evaluate_many_matches_evaluate(self, courseware):

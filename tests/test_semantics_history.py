@@ -2,6 +2,7 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
 
 from repro.lang import parse_program
 from repro.semantics import (
@@ -13,6 +14,7 @@ from repro.semantics import (
     run_interleaved,
     run_serial,
 )
+from repro.semantics.history import is_acyclic
 from repro.semantics.views import RandomPartialView, ScriptedView
 
 RMW_SRC = """
@@ -179,3 +181,57 @@ class TestAtomicityClosure:
             policy=ScriptedView([frozenset(), frozenset({(0, "U1")})]),
         )
         assert h.results[1] in (0, 3)  # never 1 or 2: no partial row
+
+
+def _kahn_acyclic(graph):
+    """Reference: Kahn's algorithm peels zero-in-degree nodes; a cycle
+    leaves nodes it can never peel."""
+    indegree = {node: 0 for node in graph}
+    for successors in graph.values():
+        for succ in successors:
+            indegree[succ] += 1
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    peeled = 0
+    while ready:
+        node = ready.pop()
+        peeled += 1
+        for succ in graph[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                ready.append(succ)
+    return peeled == len(graph)
+
+
+@st.composite
+def digraphs(draw):
+    nodes = draw(st.integers(min_value=0, max_value=9))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, max(nodes - 1, 0)),
+                st.integers(0, max(nodes - 1, 0)),
+            ),
+            max_size=20 if nodes else 0,
+        )
+    )
+    graph = {node: set() for node in range(nodes)}
+    for src, dst in edges:
+        graph[src].add(dst)
+    return graph
+
+
+class TestAcyclicity:
+    @settings(max_examples=400, deadline=None)
+    @given(digraphs())
+    def test_matches_kahn_reference(self, graph):
+        assert is_acyclic(graph) == _kahn_acyclic(graph)
+
+    def test_self_loop_is_a_cycle(self):
+        assert not is_acyclic({0: {0}})
+
+    def test_deep_chain_needs_no_recursion(self):
+        chain = {i: {i + 1} for i in range(5000)}
+        chain[5000] = set()
+        assert is_acyclic(chain)
+        chain[5000] = {0}
+        assert not is_acyclic(chain)

@@ -18,7 +18,9 @@ import urllib.request
 
 import pytest
 
+from repro import faults
 from repro.api import AnalyzeRequest, RepairRequest, Workspace
+from repro.faults import FaultPlan, FaultRule
 from repro.service import JobStore, make_server
 
 
@@ -141,10 +143,27 @@ class TestRestartRecovery:
 
 
 class TestWorkerCrash:
-    def test_sigkill_mid_job_reenqueues_and_completes(self, tmp_path):
+    def test_sigkill_mid_job_reenqueues_and_completes(
+        self, tmp_path, monkeypatch
+    ):
         """Kill the only worker process mid-repair: the monitor must
         respawn it, the job must re-run, and the result must match the
-        direct library call byte-for-byte."""
+        direct library call byte-for-byte.
+
+        Worker processes arm the fault plan in ``REPRO_FAULTS``; its
+        delay on every progress-event write keeps the repair running
+        well past the status poll below, which an in-process repair of
+        Courseware would otherwise outrun before the kill lands."""
+        plan = FaultPlan(
+            0,
+            [
+                FaultRule(
+                    site="events.write", action="delay",
+                    p=1.0, times=0, delay_s=0.05,
+                )
+            ],
+        )
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_spec())
         server = make_server(
             port=0, workers=1, job_db=str(tmp_path / "jobs.sqlite")
         )
