@@ -9,19 +9,11 @@ Usage::
 The committed ``BENCH_oracle.json`` is measured on the full corpus
 while CI runs the small smoke corpus, so absolute seconds are not
 comparable across the two.  The gate therefore compares the *relative*
-speedups -- incremental-vs-pipeline and pipeline-vs-serial -- which are
-corpus-size-stable: the fresh run fails if either ratio drops more than
-``tolerance`` (default 20%) below the baseline's.
-
-Each timed strategy records its host shape
-(``strategies.<name>.cpu_count`` / ``.workers``) and the
-pipeline-relative ratios are only gated when the fresh run's shape for
-the pipeline matches the baseline's (older baselines without the
-per-strategy record fall back to comparing the global
-``environment.cpu_count``).  The incremental-vs-serial speedup is
-host-shape-stable (both strategies run single-threaded everywhere), so
-it is gated unconditionally -- that is the ratio that catches a broken
-warm-session subsystem on any CI host.
+incremental-vs-serial speedup, which is corpus-size-stable and
+host-shape-stable (both strategies run single-threaded everywhere): the
+fresh run fails if it drops more than ``tolerance`` (default 20%) below
+the baseline's.  That is the ratio that catches a broken warm-session
+subsystem on any CI host.
 
 The persistent-cache record (``persistent_cache.cold`` / ``.warm``) is
 required in the fresh run, so the bench cannot silently stop measuring
@@ -34,8 +26,10 @@ every benchmark present in both runs: a count drift is a correctness
 regression, never noise, and fails regardless of tolerance or host.
 
 Per-benchmark ``repair_seconds`` (the plan search alone, measured on
-the incremental strategy) is gated like the pipeline-relative ratios:
-only when the host shape matches the baseline's, and against its own
+the incremental strategy) is gated only when the incremental strategy's
+host shape (``strategies.incremental.cpu_count`` / ``.workers``, or the
+global ``environment.cpu_count`` in older baselines) matches the
+baseline's, and against its own
 ``--time-tolerance`` (default 75%, looser than the speedup gate because
 single-benchmark wall-clocks are noisier than full-corpus ratios) plus
 a 25ms absolute slack that keeps sub-10ms rows out of timer-noise
@@ -143,31 +137,15 @@ def check(
                     f"(baseline {base['repair_seconds']:.3f}s "
                     f"+ {time_tolerance:.0%} + 25ms)"
                 )
-    gates = [("incremental_speedup_vs_serial", "incremental-vs-serial speedup")]
-    if same_shape(fresh, baseline, "pipeline"):
-        gates += [
-            ("speedup", "pipeline-vs-serial speedup"),
-            ("incremental_speedup_vs_pipeline", "incremental-vs-pipeline speedup"),
-        ]
-    else:
-        print(
-            "pipeline host shape differs "
-            f"({strategy_shape(baseline, 'pipeline')} -> "
-            f"{strategy_shape(fresh, 'pipeline')}); "
-            "pipeline-relative ratios reported but not gated"
-        )
-
-    for key, label in gates:
-        base_value = baseline.get(key)
-        fresh_value = fresh.get(key)
-        if base_value is None or fresh_value is None:
-            # Older baselines predate the incremental entry; skip rather
-            # than fail so the first run after an upgrade can seed it.
-            continue
+    base_value = baseline.get("incremental_speedup_vs_serial")
+    fresh_value = fresh.get("incremental_speedup_vs_serial")
+    # Older baselines predate the incremental entry; skip rather than
+    # fail so the first run after an upgrade can seed it.
+    if base_value is not None and fresh_value is not None:
         floor = base_value * (1.0 - tolerance)
         if fresh_value < floor:
             failures.append(
-                f"{label} regressed: {fresh_value:.2f}x < "
+                f"incremental-vs-serial speedup regressed: {fresh_value:.2f}x < "
                 f"{floor:.2f}x (baseline {base_value:.2f}x - {tolerance:.0%})"
             )
     return failures
@@ -203,12 +181,11 @@ def main(argv=None) -> int:
 
     persistent = fresh.get("persistent_cache") or {}
     print(
-        f"fresh: pipeline {fresh.get('speedup')}x, "
-        f"incremental {fresh.get('incremental_speedup_vs_pipeline')}x, "
-        f"warm cache hit-rate "
+        f"fresh: incremental {fresh.get('incremental_speedup_vs_serial')}x "
+        f"over serial, warm cache hit-rate "
         f"{(persistent.get('warm') or {}).get('hit_rate')} | "
-        f"baseline: pipeline {baseline.get('speedup')}x, "
-        f"incremental {baseline.get('incremental_speedup_vs_pipeline')}x"
+        f"baseline: incremental "
+        f"{baseline.get('incremental_speedup_vs_serial')}x over serial"
     )
     if failures:
         for failure in failures:

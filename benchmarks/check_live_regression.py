@@ -23,8 +23,8 @@ for every benchmark present in both runs:
   protecting a benchmark and fails regardless of tolerance or host.
 
 The throughput side depends on the simulator's host-calibrated service
-times only through the committed baseline's provenance, so -- like the
-pool-relative ratios in ``check_bench_regression.py`` -- the
+times only through the committed baseline's provenance, so -- like
+``repair_seconds`` in ``check_bench_regression.py`` -- the
 ``overhead_ratio`` ceiling is gated only when the fresh run's
 ``environment.cpu_count`` matches the baseline's: the fresh ratio may
 not exceed the baseline's by more than ``tolerance`` (default 20%).

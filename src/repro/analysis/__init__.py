@@ -39,7 +39,6 @@ from repro.analysis.pipeline import (
     PersistentQueryCache,
     QueryCache,
     QueryPlanner,
-    SerialStrategy,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "PersistentQueryCache",
     "QueryCache",
     "QueryPlanner",
-    "SerialStrategy",
 ]

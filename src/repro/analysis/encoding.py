@@ -275,15 +275,13 @@ class PairEncoder:
             # Direct arena installation for the screened fast-path
             # clauses.  Sound only while add_clause_unchecked's passes
             # would all no-op: no active group (no guard literal to
-            # append), arena backend (the install below IS the arena
-            # layout), root level with nothing but the pinned constant
+            # append), root level with nothing but the pinned constant
             # assigned (no simplification possible: fast-path clauses
             # never contain the constant), and the solver still
             # consistent.  Returns None when any condition fails.
             solver = builder.solver
             if (
                 builder._group is not None
-                or solver.clause_db != "arena"
                 or not solver._ok
                 or solver.trail_lim
                 or any((t >> 1) != const_var for t in solver.trail)
@@ -785,11 +783,6 @@ class PairSession:
     level needs it.  A repeat query at a new level then reduces to a
     single assumption-based solve that retains the learned clauses and
     VSIDS activity of every earlier query on the triple.
-
-    Sessions pickle by shedding their warm state (solver, groups,
-    disjuncts): a worker that receives one over a process boundary
-    re-warms it on first query, so the ``ProcessPoolExecutor`` path
-    stays viable without serialising solver internals.
     """
 
     # (ConsistencyLevel flag, axiom assertion method) in the exact order
@@ -1167,32 +1160,6 @@ class PairSession:
         self._groups = {}
         self._encoder = None
         self._disjuncts = None
-        self._models = []
-        self._static_candidates = None
-        self._witness_by_model = {}
-
-    # -- pickling (ProcessPool path) ------------------------------------
-
-    def __getstate__(self):
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "summary_b": self.summary_b,
-            "distinct_args": self.distinct_args,
-            "queries": self.queries,
-            "model_hits": self.model_hits,
-        }
-
-    def __setstate__(self, state) -> None:
-        self.c1 = state["c1"]
-        self.c2 = state["c2"]
-        self.summary_b = state["summary_b"]
-        self.distinct_args = state["distinct_args"]
-        self.queries = state["queries"]
-        self.model_hits = state["model_hits"]
-        self._encoder = None
-        self._disjuncts = None
-        self._groups = {}
         self._models = []
         self._static_candidates = None
         self._witness_by_model = {}

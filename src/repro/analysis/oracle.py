@@ -129,10 +129,6 @@ class OracleSession:
     and a warm session is far heavier than a cache entry (a full solver
     with its clause database).  The default cap bounds a long repair
     fixpoint's memory; shrink it for memory-constrained runs.
-
-    The pool pickles cleanly: each session sheds its warm solver state
-    on serialisation and re-warms on first use, so a ``ProcessPool``
-    worker can receive a pool and rebuild only what it actually queries.
     """
 
     def __init__(self, distinct_args: bool = True, max_sessions: int = 4096):
@@ -292,19 +288,19 @@ class AnomalyOracle:
     - ``"serial"`` (default): the seed execution loop -- inline,
       uncached, one query at a time.  Kept verbatim as the reference
       both for results and for benchmark baselines.
-    - ``"cached"``: the :mod:`repro.analysis.pipeline` planner with the
-      deterministic in-process runner plus the structural memo cache.
-    - ``"incremental"``: the pipeline with warm per-triple solver
-      sessions (an :class:`OracleSession` pool): each focus triple's
-      skeleton is encoded once on a persistent incremental solver, and
-      re-queries at other consistency levels activate that level's
-      axiom groups by assumption, retaining learned clauses and
-      variable activity across the repair fixpoint and the level
-      sweeps.
-    - ``"auto"``, and the deprecated ``"parallel"`` and
+    - ``"incremental"``: the :mod:`repro.analysis.pipeline` planner and
+      structural memo cache with warm per-triple solver sessions (an
+      :class:`OracleSession` pool): each focus triple's skeleton is
+      encoded once on a persistent incremental solver, and re-queries
+      at other consistency levels activate that level's axiom groups by
+      assumption, retaining learned clauses and variable activity
+      across the repair fixpoint and the level sweeps.
+    - ``"auto"``, and the deprecated ``"cached"``, ``"parallel"`` and
       ``"parallel-incremental"``: the same as ``"incremental"``, which
       :attr:`AnalysisReport.strategy` records.
-    - any object with a ``run(specs, level, distinct_args)`` method.
+    - any object with a ``run_levels(specs, spec_levels, distinct_args,
+      use_prefilter, budget=...)`` method (see
+      :class:`~repro.analysis.pipeline.IncrementalStrategy`).
 
     Every strategy produces the same pair set; ``cache`` (a
     :class:`~repro.analysis.pipeline.QueryCache`) may be shared across
@@ -355,8 +351,8 @@ class AnomalyOracle:
             self._pipeline.close()
 
     def analyze_many(self, programs) -> List[AnalysisReport]:
-        """Analyze several programs, deduplicating and fanning their SAT
-        queries out together (see :meth:`~repro.analysis.pipeline.
+        """Analyze several programs, deduplicating and solving their SAT
+        queries together (see :meth:`~repro.analysis.pipeline.
         AnalysisPipeline.analyze_many`).  The serial seed path has no
         batching machinery and simply analyzes in order."""
         if self._pipeline is not None:

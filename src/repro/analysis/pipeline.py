@@ -4,16 +4,14 @@ The seed oracle (:class:`repro.analysis.oracle.AnomalyOracle` with
 ``strategy="serial"``) discharges every ``(transaction, command pair,
 interferer)`` SAT query inline, one at a time, and re-solves everything
 from scratch on every call.  This module turns that loop into an
-execution subsystem with three independent levers:
+execution subsystem with three levers:
 
-1. a :class:`QueryPlanner` that enumerates the oracle's queries into a
-   small dependency DAG -- per access pair, the SAT *query* nodes feed a
-   *merge* node -- and batches them into topological generations so a
-   runner can fan out everything inside one generation;
-2. two in-process runners: :class:`SerialStrategy` (deterministic cold
-   solves) and :class:`IncrementalStrategy` (warm per-triple solver
-   sessions with activation-literal axiom groups -- see
-   :class:`~repro.analysis.encoding.PairSession`);
+1. a :class:`QueryPlanner` that enumerates the oracle's queries, one
+   batch of queries (one per interferer) per candidate access pair;
+2. the in-process runner :class:`IncrementalStrategy`: warm per-triple
+   solver sessions with activation-literal axiom groups (see
+   :class:`~repro.analysis.encoding.PairSession`), one assumption sweep
+   per focus triple over every level a call asks for;
 3. a :class:`QueryCache` memoising query outcomes under structural
    fingerprints of the participating :class:`TransactionSummary` data
    plus the consistency level, so a repair loop's re-analysis only
@@ -22,11 +20,15 @@ execution subsystem with three independent levers:
    a sqlite file so outcomes survive across processes and runs, with
    versioned invalidation keyed to the encoding's source fingerprint.
 
-Per-query results are independent of execution order, so every strategy
-produces the same :class:`~repro.analysis.oracle.AnalysisReport` pair
-set; queries are additionally solved with the constant-folding Tseitin
-pass (``FormulaBuilder(fold_constants=True)``), which discharges the
-same queries on a much smaller clause stream.
+:class:`AnalysisPipeline` drives all three for ``analyze``,
+``analyze_many`` (several programs, one sweep) and ``analyze_levels``
+(one program, several levels) through one driver.  Per-query results
+are independent of execution order, so it produces the same
+:class:`~repro.analysis.oracle.AnalysisReport` pair set as the seed
+loop; queries are solved with the constant-folding Tseitin pass
+(``FormulaBuilder(fold_constants=True)``), which discharges the same
+queries on a much smaller clause stream.  :func:`solve_query` is the
+cold per-query reference the differential tests compare against.
 
 Caching is sound because a query's outcome is a pure function of its
 fingerprinted inputs: the two focus commands, the interfering
@@ -728,7 +730,6 @@ class QuerySpec:
     interfering transaction instance."""
 
     index: int
-    batch: int
     a_name: str
     c1: CommandInfo
     c2: CommandInfo
@@ -740,65 +741,24 @@ class QuerySpec:
 @dataclass
 class QueryBatch:
     """All queries contributing witnesses to one candidate access pair;
-    the plan's merge node joins them back into an ``AccessPair``."""
+    their outcomes merge back into one ``AccessPair``."""
 
-    index: int
     summary_a: TransactionSummary
     c1: CommandInfo
     c2: CommandInfo
     queries: List[QuerySpec] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class PlanNode:
-    """A node of the plan DAG: a SAT query or a per-pair merge."""
-
-    kind: str  # "query" | "merge"
-    payload: int  # query index or batch index
-    deps: Tuple[int, ...] = ()
-
-
 @dataclass
 class QueryPlan:
-    """The planner's output: batches plus a topologically staged DAG."""
+    """The planner's output: one batch per candidate access pair."""
 
     level: ConsistencyLevel
     distinct_args: bool
     batches: List[QueryBatch]
-    nodes: List[PlanNode]
 
     def queries(self) -> List[QuerySpec]:
         return [q for batch in self.batches for q in batch.queries]
-
-    def generations(self) -> List[List[PlanNode]]:
-        """Kahn-style topological generations: every node in generation
-        ``i`` depends only on nodes of earlier generations, so a runner
-        may execute each generation with unbounded fan-out."""
-        remaining: Dict[int, Set[int]] = {
-            i: set(node.deps) for i, node in enumerate(self.nodes)
-        }
-        dependants: Dict[int, List[int]] = {i: [] for i in remaining}
-        for i, node in enumerate(self.nodes):
-            for dep in node.deps:
-                dependants[dep].append(i)
-        ready = sorted(i for i, deps in remaining.items() if not deps)
-        generations: List[List[PlanNode]] = []
-        seen = 0
-        while ready:
-            generations.append([self.nodes[i] for i in ready])
-            seen += len(ready)
-            next_ready: Set[int] = set()
-            for i in ready:
-                for j in dependants[i]:
-                    remaining[j].discard(i)
-                    if not remaining[j]:
-                        next_ready.add(j)
-            for i in ready:
-                remaining.pop(i, None)
-            ready = sorted(next_ready)
-        if seen != len(self.nodes):
-            raise ValueError("query plan contains a dependency cycle")
-        return generations
 
 
 # Plan memo shared by every planner instance: summaries are interned
@@ -833,14 +793,10 @@ class QueryPlanner:
             for c in s.commands
         }
         batches: List[QueryBatch] = []
-        nodes: List[PlanNode] = []
         query_index = 0
         for summary in summaries.values():
             for c1, c2 in summary.ordered_pairs():
-                batch = QueryBatch(
-                    index=len(batches), summary_a=summary, c1=c1, c2=c2
-                )
-                query_nodes: List[int] = []
+                batch = QueryBatch(summary_a=summary, c1=c1, c2=c2)
                 for other in summaries.values():
                     key = query_cache_key(
                         command_fps[(summary.name, c1.label)],
@@ -856,7 +812,6 @@ class QueryPlanner:
                     batch.queries.append(
                         QuerySpec(
                             index=query_index,
-                            batch=batch.index,
                             a_name=summary.name,
                             c1=c1,
                             c2=c2,
@@ -865,22 +820,10 @@ class QueryPlanner:
                             tables=tables,
                         )
                     )
-                    query_nodes.append(len(nodes))
-                    nodes.append(PlanNode(kind="query", payload=query_index))
                     query_index += 1
-                nodes.append(
-                    PlanNode(
-                        kind="merge",
-                        payload=batch.index,
-                        deps=tuple(query_nodes),
-                    )
-                )
                 batches.append(batch)
         plan = QueryPlan(
-            level=level,
-            distinct_args=distinct_args,
-            batches=batches,
-            nodes=nodes,
+            level=level, distinct_args=distinct_args, batches=batches
         )
         if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
             _PLAN_CACHE.clear()
@@ -952,66 +895,6 @@ def solve_query(
     )
 
 
-class SerialStrategy:
-    """Deterministic in-process execution, in plan order.
-
-    Named ``"cached"`` in reports: it is the pipeline's serial runner,
-    always paired with the memo cache (``strategy="serial"`` on the
-    oracle means the seed loop instead, which bypasses the pipeline).
-    """
-
-    name = "cached"
-    supports_budget = True
-
-    def run(
-        self,
-        specs: Sequence[QuerySpec],
-        level: ConsistencyLevel,
-        distinct_args: bool,
-        use_prefilter: bool = True,
-        budget=None,
-    ) -> List[QueryOutcome]:
-        return [
-            solve_query(
-                s.c1, s.c2, s.summary_b, level, distinct_args,
-                use_prefilter, budget=budget,
-            )
-            for s in specs
-        ]
-
-    def run_levels(
-        self,
-        specs: Sequence[QuerySpec],
-        spec_levels: Sequence[Sequence[ConsistencyLevel]],
-        distinct_args: bool,
-        use_prefilter: bool = True,
-        budget=None,
-    ) -> List[List[QueryOutcome]]:
-        """Level-sweep entry point (see
-        :meth:`AnalysisPipeline.analyze_levels`): ``specs[i]`` is solved
-        once per level in ``spec_levels[i]``, in order."""
-        return [
-            [
-                solve_query(
-                    s.c1, s.c2, s.summary_b, level, distinct_args,
-                    use_prefilter, budget=budget,
-                )
-                for level in levels
-            ]
-            for s, levels in zip(specs, spec_levels)
-        ]
-
-    def close(self) -> None:  # symmetry with IncrementalStrategy
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
 class IncrementalStrategy:
     """Warm incremental solving over an
     :class:`~repro.analysis.oracle.OracleSession` pool.
@@ -1028,34 +911,11 @@ class IncrementalStrategy:
     """
 
     name = "incremental"
-    supports_budget = True
 
     def __init__(self):
         from repro.analysis.oracle import OracleSession
 
         self.pool = OracleSession()
-
-    def run(
-        self,
-        specs: Sequence[QuerySpec],
-        level: ConsistencyLevel,
-        distinct_args: bool,
-        use_prefilter: bool = True,
-        budget=None,
-    ) -> List[QueryOutcome]:
-        return [
-            self.pool.solve(
-                s.c1,
-                s.c2,
-                s.summary_b,
-                level,
-                distinct_args,
-                use_prefilter=use_prefilter,
-                key=(s.cache_key[0], s.cache_key[1], s.cache_key[2], distinct_args),
-                budget=budget,
-            )
-            for s in specs
-        ]
 
     def run_levels(
         self,
@@ -1095,32 +955,36 @@ class IncrementalStrategy:
         return False
 
 
-#: Names of the retired process-pool strategies, kept so old callers
-#: still work.  They resolve to the in-process :class:`IncrementalStrategy`,
-#: which ran Table 1 faster than the pools did on a 2-core host; the
-#: service gets its parallelism from running jobs on several workers.
-DEPRECATED_NAMES = ("parallel", "parallel-incremental", "parallel_incremental")
+#: Retired strategy names, kept so old callers still work.  They resolve
+#: to the in-process :class:`IncrementalStrategy`: the process-pool
+#: runners ran Table 1 slower than it on a 2-core host (the service gets
+#: its parallelism from running jobs on several workers), and
+#: ``"cached"``'s cold solves behind the memo cache return the same
+#: reports as the warm sessions.
+DEPRECATED_NAMES = (
+    "cached",
+    "parallel",
+    "parallel-incremental",
+    "parallel_incremental",
+)
 
 
 def resolve_strategy(spec):
     """Map a strategy spec (name or instance) to a runner instance.
 
-    Names: ``"cached"`` (serial runner + memo cache), ``"incremental"``
-    (warm per-triple solver sessions + memo cache), ``"auto"`` (the
-    default of :class:`~repro.api.Workspace`, same as ``"incremental"``)
-    and the :data:`DEPRECATED_NAMES`, which resolve to ``"incremental"``
-    too.
+    Names: ``"incremental"`` (warm per-triple solver sessions + memo
+    cache), ``"auto"`` (the default of :class:`~repro.api.Workspace`,
+    same as ``"incremental"``) and the :data:`DEPRECATED_NAMES`, which
+    resolve to ``"incremental"`` too; ``None`` means ``"incremental"``.
     ``"serial"`` is handled by the oracle itself (the seed execution
     loop) and is not a pipeline strategy.
     """
-    if spec is None or spec == "cached":
-        return SerialStrategy()
-    if spec in ("incremental", "auto") or spec in DEPRECATED_NAMES:
+    if spec is None or spec in ("incremental", "auto") or spec in DEPRECATED_NAMES:
         return IncrementalStrategy()
-    if hasattr(spec, "run"):
+    if hasattr(spec, "run_levels"):
         return spec
     raise ValueError(
-        f"unknown analysis strategy {spec!r}; expected 'serial', 'cached', "
+        f"unknown analysis strategy {spec!r}; expected 'serial', "
         "'incremental', 'auto', or a strategy object"
     )
 
@@ -1160,7 +1024,7 @@ class AnalysisPipeline:
         self.budget = budget
 
     def analyze(self, program: ast.Program):
-        return self.analyze_many([program])[0]
+        return self._analyze([program], [self.level])[0]
 
     def analyze_many(self, programs: Sequence[ast.Program]) -> List:
         """Analyze several programs through *one* strategy run.
@@ -1168,8 +1032,8 @@ class AnalysisPipeline:
         Per-query results are pure functions of their fingerprints, so
         batching changes nothing about any program's report -- but all
         programs' cache misses are deduplicated together and handed to
-        the strategy as one spec list (this is how a beam search scores
-        a whole generation of candidate plans in one call instead of one
+        the strategy in one sweep (this is how a beam search scores a
+        whole generation of candidate plans in one call instead of one
         ``analyze()`` at a time).  Queries shared between programs are
         solved once; the solve is attributed (``sat_queries``,
         ``solver_stats``) to the first program that requested it.  Each
@@ -1177,171 +1041,7 @@ class AnalysisPipeline:
         the programs were solved together, so no finer attribution is
         honest.
         """
-        from repro.analysis.oracle import AnalysisReport, _merge_witnesses
-        from repro.events import emit
-
-        start = time.perf_counter()
-        plans = []
-        outcomes_by_program: List[Dict[int, Optional[WitnessData]]] = []
-        lookup_counts: List[Tuple[int, int]] = []
-        pending: Dict[CacheKey, List[Tuple[int, QuerySpec]]] = {}
-        for program_index, program in enumerate(programs):
-            summaries = summarize_program(program)
-            plan = self.planner.plan(summaries, self.level, self.distinct_args)
-            outcomes: Dict[int, Optional[WitnessData]] = {}
-            hits = misses = 0
-            for spec in plan.queries():
-                found, witness = self.cache.lookup(spec.cache_key)
-                if found:
-                    hits += 1
-                    outcomes[spec.index] = witness
-                else:
-                    misses += 1
-                    # Structurally identical queries (same fingerprints)
-                    # are solved once; every spec sharing the key --
-                    # within a program or across the batch -- gets the
-                    # result.
-                    pending.setdefault(spec.cache_key, []).append(
-                        (program_index, spec)
-                    )
-            plans.append(plan)
-            outcomes_by_program.append(outcomes)
-            lookup_counts.append((hits, misses))
-
-        emit(
-            self.progress,
-            "analyze.start",
-            level=self.level.name,
-            programs=len(programs),
-            queries=sum(h + m for h, m in lookup_counts),
-            cache_hits=sum(h for h, _ in lookup_counts),
-            cache_misses=sum(m for _, m in lookup_counts),
-        )
-        sat_queries = [0] * len(plans)
-        solver_stats: List[Dict[str, int]] = [{} for _ in plans]
-        exhausted = False
-        if pending:
-            unique = [group[0][1] for group in pending.values()]
-            owners = [group[0][0] for group in pending.values()]
-            # With a budget (or an observer) the fan-out is chunked so
-            # the deadline is re-checked -- and a cancellation-minded
-            # progress callback gets a chance to abort -- between
-            # chunks, without ever emitting one event per SAT query
-            # (ticks are throttled to one per 0.2s).  Budget-aware
-            # strategies additionally bound each solve internally.
-            budget = self.budget
-            chunked = budget is not None or self.progress is not None
-            step = 32 if chunked else max(len(unique), 1)
-            run_kwargs = {}
-            if budget is not None and getattr(
-                self.strategy, "supports_budget", False
-            ):
-                run_kwargs["budget"] = budget
-            results: List[QueryOutcome] = []
-            last_tick = start
-            for lo in range(0, len(unique), step):
-                now = time.perf_counter()
-                if chunked and lo and now - last_tick >= 0.2:
-                    last_tick = now
-                    emit(
-                        self.progress,
-                        "analyze.tick",
-                        completed=lo,
-                        total=len(unique),
-                    )
-                if budget is not None and budget.expired():
-                    exhausted = True
-                    break
-                try:
-                    results.extend(
-                        self.strategy.run(
-                            unique[lo : lo + step],
-                            self.level,
-                            self.distinct_args,
-                            self.use_prefilter,
-                            **run_kwargs,
-                        )
-                    )
-                except BudgetExhaustedError:
-                    exhausted = True
-                    break
-            # zip() stops at the shorter list, so an exhausted run
-            # still attributes and caches every completed outcome --
-            # the retry after a deadline warm-starts from them.
-            for owner, spec, outcome in zip(owners, unique, results):
-                if outcome.solved:
-                    sat_queries[owner] += 1
-                for key, value in outcome.stats.items():
-                    solver_stats[owner][key] = (
-                        solver_stats[owner].get(key, 0) + value
-                    )
-                group = pending[spec.cache_key]
-                for twin_owner, twin in group:
-                    outcomes_by_program[twin_owner][twin.index] = outcome.witness
-                self.cache.store(
-                    spec.cache_key,
-                    outcome.witness,
-                    txns={s.a_name for _, s in group}
-                    | {s.summary_b.name for _, s in group},
-                    tables=frozenset().union(*(s.tables for _, s in group)),
-                )
-            emit(
-                self.progress,
-                "analyze.solved",
-                unique_queries=len(results),
-                strategy=self.strategy.name,
-            )
-        if exhausted:
-            self._raise_deadline(plans, outcomes_by_program)
-
-        elapsed = time.perf_counter() - start
-        reports = []
-        for plan, outcomes, (hits, misses), sat, stats in zip(
-            plans, outcomes_by_program, lookup_counts, sat_queries, solver_stats
-        ):
-            # Merge stage.  The plan DAG (see generations()) stages
-            # every query before its batch's merge node; since all
-            # queries above have completed, the merges reduce to
-            # batch-order iteration.
-            pairs = []
-            for batch in plan.batches:
-                witnesses = [
-                    PairWitness(
-                        interferer=spec.summary_b.name,
-                        pattern=outcomes[spec.index].pattern,
-                        fields1=outcomes[spec.index].fields1,
-                        fields2=outcomes[spec.index].fields2,
-                    )
-                    for spec in batch.queries
-                    if outcomes[spec.index] is not None
-                ]
-                if witnesses:
-                    pairs.append(
-                        _merge_witnesses(
-                            batch.summary_a, batch.c1, batch.c2, witnesses
-                        )
-                    )
-            reports.append(
-                AnalysisReport(
-                    level=self.level.name,
-                    pairs=pairs,
-                    pairs_checked=len(plan.batches),
-                    sat_queries=sat,
-                    elapsed_seconds=elapsed,
-                    strategy=self.strategy.name,
-                    cache_hits=hits,
-                    cache_misses=misses,
-                    solver_stats=stats,
-                )
-            )
-        emit(
-            self.progress,
-            "analyze.done",
-            level=self.level.name,
-            pairs=sum(len(r.pairs) for r in reports),
-            elapsed_seconds=elapsed,
-        )
-        return reports
+        return self._analyze(list(programs), [self.level])
 
     def analyze_levels(
         self, program: ast.Program, levels: Sequence[ConsistencyLevel]
@@ -1351,53 +1051,59 @@ class AnalysisPipeline:
 
         Results are identical to one :meth:`analyze` per level (each
         query is a pure function of its fingerprints, and the cache is
-        consulted per level exactly as before), but the cache misses of
-        all levels are grouped by focus triple and handed to the
-        strategy together, so a warm runner discharges a triple's whole
-        level sweep on one session in one incremental solve sequence
-        (``run_levels``) instead of re-entering the stack per level.
-        Strategies without a ``run_levels`` sweep entry point fall back
-        to one ``run()`` fan-out per level.
-
-        Like :meth:`analyze_many`, each report's ``elapsed_seconds`` is
-        the whole sweep's wall-clock, and a solve shared between levels
-        -- impossible here, since the level is part of the cache key --
-        never arises; attribution (``sat_queries``, ``solver_stats``)
-        goes to the first level that requested the triple's query.
+        consulted per level), but the runner discharges a triple's whole
+        level sweep on one warm session in one incremental solve
+        sequence instead of re-entering the stack per level.  Like
+        :meth:`analyze_many`, each report's ``elapsed_seconds`` is the
+        whole sweep's wall-clock.
         """
-        from repro.analysis.oracle import AnalysisReport, _merge_witnesses
+        return self._analyze([program], list(levels))
+
+    def _analyze(
+        self,
+        programs: Sequence[ast.Program],
+        levels: Sequence[ConsistencyLevel],
+    ) -> List:
+        """The one driver: a report per (program, level) plan, programs
+        outermost.
+
+        Every plan's queries are looked up in the cache; the misses are
+        grouped by focus triple and, within a triple, by full cache key
+        -- structurally identical twins (within a program or across the
+        batch) share one solve, and a triple's levels are distinct keys
+        discharged in one ``run_levels`` sweep.  Attribution
+        (``sat_queries``, ``solver_stats``) goes to the first plan that
+        requested a key.
+        """
+        from repro.analysis.oracle import AnalysisReport, deadline_error
         from repro.events import emit
 
-        levels = list(levels)
         start = time.perf_counter()
-        summaries = summarize_program(program)
-        plans = [
-            self.planner.plan(summaries, level, self.distinct_args)
-            for level in levels
-        ]
-        outcomes_by_level: List[Dict[int, Optional[WitnessData]]] = [
-            {} for _ in levels
-        ]
+        plans: List[Tuple[ConsistencyLevel, QueryPlan]] = []
+        for program in programs:
+            summaries = summarize_program(program)
+            for level in levels:
+                plans.append(
+                    (level, self.planner.plan(summaries, level, self.distinct_args))
+                )
+        outcomes: List[Dict[int, Optional[WitnessData]]] = [{} for _ in plans]
         lookup_counts: List[Tuple[int, int]] = []
-        # Misses grouped by focus triple; within a triple, by full cache
-        # key (one solve per key -- structurally identical twins at the
-        # same level share it, and distinct levels are distinct keys).
         pending: Dict[
             Tuple, Dict[CacheKey, List[Tuple[int, QuerySpec]]]
         ] = {}
-        for level_index, plan in enumerate(plans):
+        for plan_index, (_, plan) in enumerate(plans):
             hits = misses = 0
             for spec in plan.queries():
                 found, witness = self.cache.lookup(spec.cache_key)
                 if found:
                     hits += 1
-                    outcomes_by_level[level_index][spec.index] = witness
+                    outcomes[plan_index][spec.index] = witness
                 else:
                     misses += 1
                     triple_key = spec.cache_key[:3] + (self.distinct_args,)
                     pending.setdefault(triple_key, {}).setdefault(
                         spec.cache_key, []
-                    ).append((level_index, spec))
+                    ).append((plan_index, spec))
             lookup_counts.append((hits, misses))
 
         sweep_name = "+".join(level.name for level in levels)
@@ -1405,25 +1111,25 @@ class AnalysisPipeline:
             self.progress,
             "analyze.start",
             level=sweep_name,
-            programs=1,
+            programs=len(programs),
             queries=sum(h + m for h, m in lookup_counts),
             cache_hits=sum(h for h, _ in lookup_counts),
             cache_misses=sum(m for _, m in lookup_counts),
         )
-        sat_queries = [0] * len(levels)
-        solver_stats: List[Dict[str, int]] = [{} for _ in levels]
+        sat_queries = [0] * len(plans)
+        solver_stats: List[Dict[str, int]] = [{} for _ in plans]
         exhausted = False
         if pending:
-            triples = list(pending.items())
+            triples = list(pending.values())
+            # With a budget (or an observer) the sweep is chunked so the
+            # deadline is re-checked -- and a cancellation-minded
+            # progress callback gets a chance to abort -- between
+            # chunks, without ever emitting one event per SAT query
+            # (ticks are throttled to one per 0.2s).  The strategy also
+            # bounds each solve internally.
             budget = self.budget
             chunked = budget is not None or self.progress is not None
             step = 32 if chunked else max(len(triples), 1)
-            run_kwargs = {}
-            if budget is not None and getattr(
-                self.strategy, "supports_budget", False
-            ):
-                run_kwargs["budget"] = budget
-            sweep = getattr(self.strategy, "run_levels", None)
             results: List[List[QueryOutcome]] = []
             last_tick = start
             for lo in range(0, len(triples), step):
@@ -1440,46 +1146,25 @@ class AnalysisPipeline:
                     exhausted = True
                     break
                 chunk = triples[lo : lo + step]
-                chunk_specs = [
-                    next(iter(groups.values()))[0][1] for _, groups in chunk
-                ]
-                chunk_levels = [
-                    [by_name(key[3]) for key in groups]
-                    for _, groups in chunk
-                ]
                 try:
-                    if sweep is not None:
-                        results.extend(
-                            sweep(
-                                chunk_specs,
-                                chunk_levels,
-                                self.distinct_args,
-                                self.use_prefilter,
-                                **run_kwargs,
-                            )
+                    results.extend(
+                        self.strategy.run_levels(
+                            [next(iter(groups.values()))[0][1] for groups in chunk],
+                            [[by_name(key[3]) for key in groups] for groups in chunk],
+                            self.distinct_args,
+                            self.use_prefilter,
+                            budget=budget,
                         )
-                    else:
-                        results.extend(
-                            [
-                                self.strategy.run(
-                                    [spec],
-                                    lv,
-                                    self.distinct_args,
-                                    self.use_prefilter,
-                                    **run_kwargs,
-                                )[0]
-                                for lv in lvs
-                            ]
-                            for spec, lvs in zip(chunk_specs, chunk_levels)
-                        )
+                    )
                 except BudgetExhaustedError:
                     exhausted = True
                     break
             # zip() stops at the shorter list, so an exhausted run still
-            # attributes and caches every completed triple's outcomes.
-            for (_, groups), outs in zip(triples, results):
+            # attributes and caches every completed triple's outcomes --
+            # the retry after a deadline warm-starts from them.
+            for groups, outs in zip(triples, results):
                 for (key, group), outcome in zip(groups.items(), outs):
-                    owner, _ = group[0]
+                    owner = group[0][0]
                     if outcome.solved:
                         sat_queries[owner] += 1
                     for stat, value in outcome.stats.items():
@@ -1487,17 +1172,13 @@ class AnalysisPipeline:
                             solver_stats[owner].get(stat, 0) + value
                         )
                     for twin_owner, twin in group:
-                        outcomes_by_level[twin_owner][twin.index] = (
-                            outcome.witness
-                        )
+                        outcomes[twin_owner][twin.index] = outcome.witness
                     self.cache.store(
                         key,
                         outcome.witness,
                         txns={s.a_name for _, s in group}
                         | {s.summary_b.name for _, s in group},
-                        tables=frozenset().union(
-                            *(s.tables for _, s in group)
-                        ),
+                        tables=frozenset().union(*(s.tables for _, s in group)),
                     )
             emit(
                 self.progress,
@@ -1506,51 +1187,33 @@ class AnalysisPipeline:
                 strategy=self.strategy.name,
             )
         if exhausted:
-            self._raise_deadline(
-                plans, outcomes_by_level, level_name=sweep_name
+            pairs = []
+            checked = 0
+            for (_, plan), plan_outcomes in zip(plans, outcomes):
+                plan_pairs, plan_checked = _access_pairs(plan, plan_outcomes)
+                pairs += plan_pairs
+                checked += plan_checked
+            raise deadline_error(
+                sweep_name, pairs, checked, sum(len(p.batches) for _, p in plans)
             )
 
         elapsed = time.perf_counter() - start
-        reports = []
-        for level, plan, outcomes, (hits, misses), sat, stats in zip(
-            levels,
-            plans,
-            outcomes_by_level,
-            lookup_counts,
-            sat_queries,
-            solver_stats,
-        ):
-            pairs = []
-            for batch in plan.batches:
-                witnesses = [
-                    PairWitness(
-                        interferer=spec.summary_b.name,
-                        pattern=outcomes[spec.index].pattern,
-                        fields1=outcomes[spec.index].fields1,
-                        fields2=outcomes[spec.index].fields2,
-                    )
-                    for spec in batch.queries
-                    if outcomes[spec.index] is not None
-                ]
-                if witnesses:
-                    pairs.append(
-                        _merge_witnesses(
-                            batch.summary_a, batch.c1, batch.c2, witnesses
-                        )
-                    )
-            reports.append(
-                AnalysisReport(
-                    level=level.name,
-                    pairs=pairs,
-                    pairs_checked=len(plan.batches),
-                    sat_queries=sat,
-                    elapsed_seconds=elapsed,
-                    strategy=self.strategy.name,
-                    cache_hits=hits,
-                    cache_misses=misses,
-                    solver_stats=stats,
-                )
+        reports = [
+            AnalysisReport(
+                level=level.name,
+                pairs=_access_pairs(plan, plan_outcomes)[0],
+                pairs_checked=len(plan.batches),
+                sat_queries=sat,
+                elapsed_seconds=elapsed,
+                strategy=self.strategy.name,
+                cache_hits=hits,
+                cache_misses=misses,
+                solver_stats=stats,
             )
+            for (level, plan), plan_outcomes, (hits, misses), sat, stats in zip(
+                plans, outcomes, lookup_counts, sat_queries, solver_stats
+            )
+        ]
         emit(
             self.progress,
             "analyze.done",
@@ -1560,47 +1223,41 @@ class AnalysisPipeline:
         )
         return reports
 
-    def _raise_deadline(
-        self, plans, outcomes_by_program, level_name: Optional[str] = None
-    ) -> None:
-        """Raise DeadlineExceededError carrying the partial result.
-
-        A batch (access pair) counts as checked only when *every* one
-        of its queries has an outcome -- reporting a pair anomaly-free
-        on a half-finished batch would be unsound.
-        """
-        from repro.analysis.oracle import _merge_witnesses, deadline_error
-
-        pairs = []
-        checked = 0
-        total = 0
-        for plan, outcomes in zip(plans, outcomes_by_program):
-            for batch in plan.batches:
-                total += 1
-                if any(
-                    spec.index not in outcomes for spec in batch.queries
-                ):
-                    continue
-                checked += 1
-                witnesses = [
-                    PairWitness(
-                        interferer=spec.summary_b.name,
-                        pattern=outcomes[spec.index].pattern,
-                        fields1=outcomes[spec.index].fields1,
-                        fields2=outcomes[spec.index].fields2,
-                    )
-                    for spec in batch.queries
-                    if outcomes[spec.index] is not None
-                ]
-                if witnesses:
-                    pairs.append(
-                        _merge_witnesses(
-                            batch.summary_a, batch.c1, batch.c2, witnesses
-                        )
-                    )
-        raise deadline_error(
-            level_name or self.level.name, pairs, checked, total
-        )
-
     def close(self) -> None:
         self.strategy.close()
+
+
+def _access_pairs(
+    plan: QueryPlan, outcomes: Dict[int, Optional[WitnessData]]
+) -> Tuple[List, int]:
+    """The plan's anomalous access pairs, merged from its query outcomes,
+    and how many pairs were checked.
+
+    A batch (access pair) counts as checked only when *every* one of
+    its queries has an outcome -- reporting a pair anomaly-free on a
+    half-finished batch would be unsound -- so the same merge serves a
+    finished report and a deadline's partial result.
+    """
+    from repro.analysis.oracle import _merge_witnesses
+
+    pairs = []
+    checked = 0
+    for batch in plan.batches:
+        if any(spec.index not in outcomes for spec in batch.queries):
+            continue
+        checked += 1
+        witnesses = [
+            PairWitness(
+                interferer=spec.summary_b.name,
+                pattern=witness.pattern,
+                fields1=witness.fields1,
+                fields2=witness.fields2,
+            )
+            for spec in batch.queries
+            if (witness := outcomes[spec.index]) is not None
+        ]
+        if witnesses:
+            pairs.append(
+                _merge_witnesses(batch.summary_a, batch.c1, batch.c2, witnesses)
+            )
+    return pairs, checked

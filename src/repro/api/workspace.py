@@ -177,7 +177,7 @@ class Workspace:
     """Shared execution context for analyze/repair/bench calls.
 
     ``strategy`` is a name from :data:`STRATEGIES` or a strategy
-    *instance* (anything with ``run``/``close``); named strategies are
+    *instance* (anything with ``run_levels``/``close``); named strategies are
     resolved once and owned by the workspace (torn down on
     :meth:`close`), instances stay the caller's.  ``cache`` follows the
     same ownership rule; without one, a caching strategy gets a fresh
@@ -346,14 +346,6 @@ class Workspace:
     ):
         """Uncounted core of :meth:`analyze_program_levels` (bench rows
         go through here)."""
-        if self._serial:
-            return [
-                self._analyze(
-                    program, level, use_prefilter, distinct_args,
-                    on_progress, budget=budget,
-                )
-                for level in levels
-            ]
         from repro.analysis.oracle import AnomalyOracle
 
         with self._lock:
@@ -365,7 +357,7 @@ class Workspace:
                 distinct_args=self.distinct_args
                 if distinct_args is None
                 else distinct_args,
-                strategy=self._runner,
+                strategy="serial" if self._serial else self._runner,
                 cache=self.cache,
                 progress=on_progress,
                 budget=budget,

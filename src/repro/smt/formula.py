@@ -164,10 +164,8 @@ class FormulaBuilder:
     exists.
     """
 
-    def __init__(
-        self, fold_constants: bool = False, clause_db: Optional[str] = None
-    ) -> None:
-        self.solver = sat.Solver(clause_db=clause_db)
+    def __init__(self, fold_constants: bool = False) -> None:
+        self.solver = sat.Solver()
         self.fold_constants = fold_constants
         self._vars: Dict[str, int] = {}
         # name -> interned BoolVar: var() is called per axiom link on

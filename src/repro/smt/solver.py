@@ -27,22 +27,13 @@ among the assumptions switches the group on, and
 turning every clause of the group (including learned clauses derived
 from them, which carry the guard literal) permanently inert.
 
-Clause storage comes in two flavours, selected by the ``clause_db``
-constructor argument (default :data:`DEFAULT_CLAUSE_DB`):
-
-- ``"arena"`` -- clause literals live in one flat ``array('i')`` with
-  (offset, length) headers in parallel lists; watcher lists and reason
-  slots hold small integer clause ids, and propagation walks a
-  ``memoryview`` over the literal arena.  ``_reduce_db`` marks its
-  victims dead (length 0) and a compaction pass reclaims their arena
-  storage once dead literals dominate, so long-lived warm solvers stop
-  accreting garbage.
-- ``"objects"`` -- the original per-clause ``_Clause`` objects,
-  retained for one release as a differential oracle for the arena.
-
-Both paths are decision-faithful transliterations of each other: same
-watch order, same analysis traversal, same reduction order -- so they
-return identical models and identical search statistics.
+Clauses live in an arena: their literals sit in one flat ``array('i')``
+with (offset, length) headers in parallel lists; watcher lists and
+reason slots hold small integer clause ids, and propagation walks a
+``memoryview`` over the literal arena.  ``_reduce_db`` marks its
+victims dead (length 0) and a compaction pass reclaims their arena
+storage once dead literals dominate, so long-lived warm solvers stop
+accreting garbage.
 """
 
 from __future__ import annotations
@@ -53,10 +44,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.budget import Budget
 from repro.errors import SolverError
 from repro.faults import failpoint
-
-#: Default clause storage backend; ``"objects"`` keeps the historical
-#: per-clause object path (scheduled for removal after one release).
-DEFAULT_CLAUSE_DB = "arena"
 
 
 def lit(var: int, positive: bool = True) -> int:
@@ -107,15 +94,6 @@ class SolverResult:
         return self.model.get(var, False)
 
 
-class _Clause:
-    __slots__ = ("lits", "learned", "activity")
-
-    def __init__(self, lits: List[int], learned: bool):
-        self.lits = lits
-        self.learned = learned
-        self.activity = 0.0
-
-
 _UNASSIGNED = -1
 
 #: Main-loop iterations between cooperative budget/failpoint checks.
@@ -147,30 +125,12 @@ class Solver:
     activity, popped lazily at decision time; ``"linear"`` is the
     reference O(num_vars) scan.  Ties break toward the lowest variable
     index in both, so the two modes make identical decisions.
-
-    ``clause_db`` selects the clause storage backend (see the module
-    docstring): ``"arena"`` (default) or ``"objects"``.
     """
 
-    def __new__(cls, branching: str = "heap", clause_db: Optional[str] = None):
-        # `Solver(clause_db="objects")` transparently constructs the
-        # object-backed sibling; explicit subclasses (tests probe the
-        # backtracking hooks) always get the arena path they inherit.
-        db = clause_db if clause_db is not None else DEFAULT_CLAUSE_DB
-        if cls is Solver and db == "objects":
-            return super().__new__(ObjectDbSolver)
-        return super().__new__(cls)
-
-    def __init__(
-        self, branching: str = "heap", clause_db: Optional[str] = None
-    ) -> None:
+    def __init__(self, branching: str = "heap") -> None:
         if branching not in ("heap", "linear"):
             raise SolverError(f"unknown branching mode {branching!r}")
-        db = clause_db if clause_db is not None else DEFAULT_CLAUSE_DB
-        if db not in ("arena", "objects"):
-            raise SolverError(f"unknown clause_db mode {db!r}")
         self.branching = branching
-        self.clause_db = db
         self.num_vars = 0
         # Arena clause storage: all clause literals in one flat int
         # array; clause `cid` occupies _lits[_c_off[cid] : _c_off[cid] +
@@ -235,17 +195,14 @@ class Solver:
         totals after each solve.
 
         Two entries are gauges rather than counters: ``arena_bytes``
-        (current byte size of the literal arena, 0 on the object path)
-        and ``learned_live`` (learned clauses currently in the DB).
-        Their deltas measure growth between snapshots.
+        (current byte size of the literal arena) and ``learned_live``
+        (learned clauses currently in the DB).  Their deltas measure
+        growth between snapshots.
         """
         snapshot = dict(self._stats)
-        snapshot["arena_bytes"] = self._arena_nbytes()
+        snapshot["arena_bytes"] = len(self._lits) * self._lits.itemsize
         snapshot["learned_live"] = len(self.learned)
         return snapshot
-
-    def _arena_nbytes(self) -> int:
-        return len(self._lits) * self._lits.itemsize
 
     # ------------------------------------------------------------------
     # Problem construction
@@ -375,18 +332,15 @@ class Solver:
             if not self._enqueue(filtered[0], None):
                 self._ok = False
             return
-        if self.clause_db == "arena":
-            cid = len(self._c_off)
-            self._c_off.append(len(self._lits))
-            self._c_len.append(n)
-            self._c_act.append(0.0)
-            self._c_learned.append(False)
-            self._lits.extend(filtered)
-            self.watches[filtered[0] ^ 1].append(cid)
-            self.watches[filtered[1] ^ 1].append(cid)
-            self.clauses.append(cid)
-        else:
-            self.clauses.append(self._install_clause(filtered, learned=False))
+        cid = len(self._c_off)
+        self._c_off.append(len(self._lits))
+        self._c_len.append(n)
+        self._c_act.append(0.0)
+        self._c_learned.append(False)
+        self._lits.extend(filtered)
+        self.watches[filtered[0] ^ 1].append(cid)
+        self.watches[filtered[1] ^ 1].append(cid)
+        self.clauses.append(cid)
 
     def _install_clause(self, lits: Sequence[int], learned: bool) -> int:
         """Append a clause to the arena and watch it; returns its id."""
@@ -399,11 +353,6 @@ class Solver:
         self.watches[lits[0] ^ 1].append(cid)
         self.watches[lits[1] ^ 1].append(cid)
         return cid
-
-    def _clause_lits(self, cid: int) -> Sequence[int]:
-        """Read-only copy of a clause's literals (cold paths only)."""
-        base = self._c_off[cid]
-        return self._lits[base : base + self._c_len[cid]]
 
     # ------------------------------------------------------------------
     # Assignment plumbing
@@ -951,188 +900,6 @@ class Solver:
             if val == _UNASSIGNED:
                 return a
         return None
-
-
-class ObjectDbSolver(Solver):
-    """The historical per-clause-object storage path.
-
-    Kept for one release behind ``Solver(clause_db="objects")`` as a
-    differential oracle for the arena: same decisions, same models, same
-    statistics.  Watcher lists and reason slots hold ``_Clause`` objects
-    instead of arena clause ids; every override below is the pre-arena
-    implementation verbatim.
-    """
-
-    def __init__(
-        self, branching: str = "heap", clause_db: Optional[str] = None
-    ) -> None:
-        super().__init__(branching, clause_db="objects")
-        self.clauses: List[_Clause] = []
-        self.learned: List[_Clause] = []
-        self.watches: List[List[_Clause]] = [[] for _ in self.watches]
-
-    def _arena_nbytes(self) -> int:
-        return 0
-
-    def _install_clause(self, lits: Sequence[int], learned: bool) -> _Clause:
-        clause = _Clause(list(lits), learned=learned)
-        self.watches[neg(clause.lits[0])].append(clause)
-        self.watches[neg(clause.lits[1])].append(clause)
-        return clause
-
-    def _clause_lits(self, clause: _Clause) -> Sequence[int]:
-        return clause.lits
-
-    def _propagate(self) -> Optional[_Clause]:
-        """Exhaust unit propagation; returns a conflicting clause or None."""
-        while self.prop_head < len(self.trail):
-            literal = self.trail[self.prop_head]
-            self.prop_head += 1
-            self._stats["propagations"] += 1
-            watchers = self.watches[literal]
-            self.watches[literal] = []
-            i = 0
-            n = len(watchers)
-            self._stats["props"] += n
-            while i < n:
-                clause = watchers[i]
-                i += 1
-                lits = clause.lits
-                # Ensure the falsified watch is lits[1].
-                if lits[0] == neg(literal):
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                if self._value(first) == 1:
-                    self.watches[literal].append(clause)
-                    continue
-                # Look for a new watch.
-                found = False
-                for k in range(2, len(lits)):
-                    if self._value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self.watches[neg(lits[1])].append(clause)
-                        found = True
-                        break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                self.watches[literal].append(clause)
-                if not self._enqueue(first, clause):
-                    # Conflict: restore remaining watchers and report.
-                    self.watches[literal].extend(watchers[i:])
-                    return clause
-        return None
-
-    def _analyze(self, conflict: _Clause) -> tuple[List[int], int]:
-        """First-UIP analysis; returns (learned clause, backjump level)."""
-        learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * self.num_vars
-        counter = 0
-        literal = -1
-        reason: Optional[_Clause] = conflict
-        index = len(self.trail)
-        while True:
-            assert reason is not None
-            self._bump_clause(reason)
-            start = 0 if literal == -1 else 1
-            lits = reason.lits
-            # For the conflict clause consider all literals; for a reason
-            # clause skip the asserting literal itself (position 0).
-            for k in range(start, len(lits)):
-                q = lits[k] if literal == -1 or lits[k] != literal else None
-                if q is None:
-                    continue
-                v = lit_var(q)
-                if not seen[v] and self.levels[v] > 0:
-                    seen[v] = True
-                    self._bump_var(v)
-                    if self.levels[v] >= self._decision_level:
-                        counter += 1
-                    else:
-                        learned.append(q)
-            # Pick the next trail literal to resolve on.
-            while True:
-                index -= 1
-                literal = self.trail[index]
-                if seen[lit_var(literal)]:
-                    break
-            v = lit_var(literal)
-            seen[v] = False
-            counter -= 1
-            if counter == 0:
-                learned[0] = neg(literal)
-                break
-            reason = self.reasons[v]
-            # Reason clause has the asserting literal at position 0; rotate
-            # if necessary.
-            if reason is not None and reason.lits[0] != literal:
-                rl = reason.lits
-                idx = rl.index(literal)
-                rl[0], rl[idx] = rl[idx], rl[0]
-        # Minimise: drop literals implied by the rest (cheap self-subsumption).
-        learned = self._minimize(learned, seen)
-        if len(learned) == 1:
-            return learned, 0
-        # Backjump to the second-highest level in the clause.
-        max_i = 1
-        for k in range(2, len(learned)):
-            if self.levels[lit_var(learned[k])] > self.levels[lit_var(learned[max_i])]:
-                max_i = k
-        learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, self.levels[lit_var(learned[1])]
-
-    def _minimize(self, learned: List[int], seen: List[bool]) -> List[int]:
-        for l in learned:
-            seen[lit_var(l)] = True
-        out = [learned[0]]
-        for l in learned[1:]:
-            reason = self.reasons[lit_var(l)]
-            if reason is None:
-                out.append(l)
-                continue
-            # Redundant if every other literal of the reason is already in
-            # the learned clause (or assigned at level 0).
-            redundant = all(
-                seen[lit_var(q)] or self.levels[lit_var(q)] == 0
-                for q in reason.lits
-                if q != neg(l)
-            )
-            if not redundant:
-                out.append(l)
-        for l in learned:
-            seen[lit_var(l)] = False
-        return out
-
-    def _bump_clause(self, clause: _Clause) -> None:
-        if clause.learned:
-            clause.activity += self.cla_inc
-            if clause.activity > 1e20:
-                for c in self.learned:
-                    c.activity *= 1e-20
-                self.cla_inc *= 1e-20
-
-    def _learn(self, lits: List[int]) -> _Clause:
-        clause = self._install_clause(lits, learned=True)
-        self.learned.append(clause)
-        return clause
-
-    def _reduce_db(self) -> None:
-        self.learned.sort(key=lambda c: c.activity)
-        keep_from = len(self.learned) // 2
-        removed = set()
-        for c in self.learned[:keep_from]:
-            if len(c.lits) > 2 and not self._is_reason(c):
-                removed.add(id(c))
-        if not removed:
-            return
-        self.learned = [c for c in self.learned if id(c) not in removed]
-        for wl in self.watches:
-            wl[:] = [c for c in wl if id(c) not in removed]
-        self._stats["db_reductions"] += 1
-
-    def _is_reason(self, clause: _Clause) -> bool:
-        v = lit_var(clause.lits[0])
-        return self.reasons[v] is clause and self.assigns[v] != _UNASSIGNED
 
 
 def stats_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:

@@ -1,5 +1,6 @@
-"""Analysis pipeline tests: planner topology, memo cache semantics, and
-strategy equivalence against the serial seed oracle."""
+"""Analysis pipeline tests: planner shape, memo cache semantics, level
+sweeps through ``analyze_levels``, and strategy equivalence against the
+serial seed oracle."""
 
 import pytest
 
@@ -10,15 +11,16 @@ from repro.analysis import (
     QueryCache,
     QueryPlanner,
     RR,
+    SC,
     summarize_program,
 )
 from repro.analysis.pipeline import (
     IncrementalStrategy,
-    SerialStrategy,
     fingerprint_command,
     fingerprint_summary,
     resolve_strategy,
 )
+from repro.corpus import ALL_BENCHMARKS
 from repro.lang import parse_program
 
 
@@ -49,16 +51,6 @@ class TestPlanner:
         assert len(plan.batches) == expected_pairs
         assert len(plan.queries()) == expected_pairs * n_txns
 
-    def test_generations_are_topological(self, courseware):
-        summaries = summarize_program(courseware)
-        plan = QueryPlanner().plan(summaries, EC, True)
-        generations = plan.generations()
-        # Queries have no dependencies; merges depend only on queries.
-        assert len(generations) == 2
-        assert all(n.kind == "query" for n in generations[0])
-        assert all(n.kind == "merge" for n in generations[1])
-        assert len(generations[1]) == len(plan.batches)
-
     def test_cache_keys_ignore_transaction_names(self):
         src = """
         schema T {{ key id; field v; }}
@@ -85,7 +77,7 @@ class TestPlanner:
 class TestQueryCache:
     def test_identical_requery_hits(self, courseware):
         cache = QueryCache()
-        oracle = AnomalyOracle(EC, strategy="cached", cache=cache)
+        oracle = AnomalyOracle(EC, strategy="incremental", cache=cache)
         first = oracle.analyze(courseware)
         second = oracle.analyze(courseware)
         assert first.cache_hits == 0
@@ -122,7 +114,7 @@ class TestQueryCache:
         }
         """
         cache = QueryCache()
-        oracle = AnomalyOracle(EC, strategy="cached", cache=cache)
+        oracle = AnomalyOracle(EC, strategy="incremental", cache=cache)
         oracle.analyze(parse_program(base))
         report = oracle.analyze(parse_program(merged))
         # reader-vs-reader queries are untouched by the rewrite and hit;
@@ -135,7 +127,7 @@ class TestQueryCache:
 
     def test_explicit_invalidation(self, courseware):
         cache = QueryCache()
-        oracle = AnomalyOracle(EC, strategy="cached", cache=cache)
+        oracle = AnomalyOracle(EC, strategy="incremental", cache=cache)
         oracle.analyze(courseware)
         assert len(cache) > 0
         dropped = cache.invalidate(txns={"regSt"})
@@ -145,7 +137,7 @@ class TestQueryCache:
 
     def test_invalidate_by_table(self, courseware):
         cache = QueryCache()
-        AnomalyOracle(EC, strategy="cached", cache=cache).analyze(courseware)
+        AnomalyOracle(EC, strategy="incremental", cache=cache).analyze(courseware)
         populated = len(cache)
         assert populated > 0
         # Every courseware query touches STUDENT, EMAIL, or COURSE.
@@ -166,9 +158,9 @@ class TestQueryCache:
         """
         program = parse_program(src)
         cache = QueryCache()
-        ec = AnomalyOracle(EC, strategy="cached", cache=cache).analyze(program)
+        ec = AnomalyOracle(EC, strategy="incremental", cache=cache).analyze(program)
         assert ec.pairs == []  # read-only program: every query is UNSAT
-        rr = AnomalyOracle(RR, strategy="cached", cache=cache).analyze(program)
+        rr = AnomalyOracle(RR, strategy="incremental", cache=cache).analyze(program)
         assert rr.cache_misses == 0
         assert rr.pairs == []
 
@@ -176,10 +168,12 @@ class TestQueryCache:
 class TestStrategyEquivalence:
     @pytest.mark.parametrize("level", [EC, CC, RR])
     def test_cached_matches_serial(self, courseware, level):
+        """The deprecated ``"cached"`` name still gives serial's pairs."""
         serial = AnomalyOracle(level).analyze(courseware)
         cached = AnomalyOracle(level, strategy="cached").analyze(courseware)
         assert canonical(serial.pairs) == canonical(cached.pairs)
         assert serial.pairs_checked == cached.pairs_checked
+        assert cached.strategy == "incremental"
 
     def test_parallel_matches_serial(self, courseware):
         """The deprecated ``"parallel"`` name still gives serial's pairs."""
@@ -193,16 +187,16 @@ class TestStrategyEquivalence:
 
     def test_prefilter_knob_is_result_neutral(self, courseware):
         with_screen = AnomalyOracle(
-            EC, use_prefilter=True, strategy="cached"
+            EC, use_prefilter=True, strategy="incremental"
         ).analyze(courseware)
         without = AnomalyOracle(
-            EC, use_prefilter=False, strategy="cached"
+            EC, use_prefilter=False, strategy="incremental"
         ).analyze(courseware)
         assert canonical(with_screen.pairs) == canonical(without.pairs)
 
     def test_report_carries_execution_metadata(self, courseware):
-        report = AnomalyOracle(EC, strategy="cached").analyze(courseware)
-        assert report.strategy == "cached"
+        report = AnomalyOracle(EC, strategy="incremental").analyze(courseware)
+        assert report.strategy == "incremental"
         assert report.cache_misses > 0
         assert report.solver_stats.get("propagations", 0) > 0
         assert report.queries_per_second >= 0
@@ -210,12 +204,21 @@ class TestStrategyEquivalence:
 
 class TestStrategyResolution:
     def test_names_resolve(self):
-        assert isinstance(resolve_strategy("cached"), SerialStrategy)
-        for name in ("incremental", "auto", "parallel", "parallel-incremental"):
-            assert isinstance(resolve_strategy(name), IncrementalStrategy)
+        for name in (
+            None,
+            "incremental",
+            "auto",
+            "cached",
+            "parallel",
+            "parallel-incremental",
+            "parallel_incremental",
+        ):
+            strategy = resolve_strategy(name)
+            assert isinstance(strategy, IncrementalStrategy), name
+            strategy.close()
 
     def test_instance_passthrough(self):
-        runner = SerialStrategy()
+        runner = IncrementalStrategy()
         assert resolve_strategy(runner) is runner
 
     def test_unknown_name_rejected(self):
@@ -235,7 +238,7 @@ class TestRepairEngineIntegration:
 
         cache = QueryCache()
         serial = RepairEngine().repair(courseware)
-        cached = RepairEngine(strategy="cached", cache=cache).repair(courseware)
+        cached = RepairEngine(strategy="incremental", cache=cache).repair(courseware)
         assert canonical(serial.initial_pairs) == canonical(cached.initial_pairs)
         assert canonical(serial.residual_pairs) == canonical(
             cached.residual_pairs
@@ -244,3 +247,31 @@ class TestRepairEngineIntegration:
             o.action for o in cached.outcomes
         ]
         assert cache.hits > 0  # the fixpoint re-analyses hit the memo
+
+
+class TestLevelSweeps:
+    """``analyze_levels`` -- one warm sweep per focus triple -- against
+    one serial ``analyze`` per level, corpus-wide."""
+
+    LEVELS = (EC, CC, RR, SC)
+
+    @pytest.mark.parametrize("bench", ALL_BENCHMARKS, ids=lambda b: b.name)
+    def test_sweep_matches_serial_per_level(self, bench):
+        program = bench.program()
+        oracle = AnomalyOracle(EC, strategy="incremental")
+        try:
+            swept = oracle.analyze_levels(program, self.LEVELS)
+        finally:
+            oracle.close()
+        assert [r.level for r in swept] == [level.name for level in self.LEVELS]
+        for level, report in zip(self.LEVELS, swept):
+            serial = AnomalyOracle(level).analyze(program)
+            assert report.pairs_checked == serial.pairs_checked
+            # Pair keys and interferers pin every query's verdict.  Field
+            # sets above EC may come from another model of the same
+            # encoding (warm model reuse across the sweep's levels).
+            assert [(p.key(), p.interferers) for p in report.pairs] == [
+                (p.key(), p.interferers) for p in serial.pairs
+            ], level.name
+            if level is EC:
+                assert canonical(report.pairs) == canonical(serial.pairs)

@@ -238,7 +238,7 @@ class TestWorkspace:
                 ws.analyze(AnalyzeRequest(benchmark="SIBench"))
             # close() must not have torn down the caller's pool.
             assert runner.pool.counters()["created"] > 0
-            runner.run([], repro.EC, True)  # still usable
+            runner.run_levels([], [], True)  # still usable
         finally:
             runner.close()
 

@@ -19,9 +19,12 @@ from repro.api import (
     Workspace,
     http_status_of,
 )
+from repro.analysis import CC, EC, RR
 from repro.api.errors import error_payload
 from repro.api.schema import all_schemas, validate
+from repro.api.workspace import _with_partial
 from repro.budget import Budget as CoreBudget
+from repro.corpus import BY_NAME
 from repro.errors import BudgetExhaustedError, ValidationError
 from repro.smt.formula import FormulaBuilder, big_or
 
@@ -150,6 +153,94 @@ class TestDeadlineExceeded:
                 ws.analyze(
                     AnalyzeRequest(benchmark="SIBench", budget={"bogus": 1})
                 )
+
+
+class CountingBudget:
+    """A budget whose clock runs out on check ``k + 1``: the analysis is
+    cut at a chosen point of its sweep, with no wall-clock race."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.checks = 0
+
+    def expired(self):
+        self.checks += 1
+        return "deadline" if self.checks > self.k else None
+
+    def exhausted(self, conflicts_used: int):
+        return self.expired()
+
+
+def _keys(pairs):
+    return {p.key() for p in pairs}
+
+
+class TestDefaultStrategyPartials:
+    """The partial-result path of ``Workspace()``'s default strategy --
+    the one the service runs -- cut after ``k`` budget checks."""
+
+    CUTS = (1, 2, 3)
+
+    def _check_partials(self, run, level_name, full_keys):
+        checked = []
+        for k in self.CUTS:
+            with Workspace() as ws:
+                with pytest.raises(DeadlineExceededError) as info:
+                    run(ws, CountingBudget(k))
+                exc = info.value
+                assert exc.level == level_name
+                assert 0 <= exc.pairs_checked < exc.pairs_total
+                assert _keys(exc.partial_pairs) <= full_keys
+                checked.append(exc.pairs_checked)
+                payload = error_payload(_with_partial(exc))
+                assert payload["error"]["code"] == "deadline-exceeded"
+                ok, why = validate(payload, all_schemas()["error"])
+                assert ok, why
+                # The outcomes solved before the cut are cached; a retry
+                # on the same workspace equals a fresh workspace's run.
+                retry = run(ws, None)
+            with Workspace() as fresh:
+                expected = run(fresh, None)
+            assert [_report_signature(r) for r in retry] == [
+                _report_signature(r) for r in expected
+            ]
+        assert checked == sorted(checked), checked
+        return checked
+
+    def test_ec_partials(self):
+        program = BY_NAME["TPC-C"].program()
+
+        def run(ws, budget):
+            return [ws.analyze_program(program, EC, budget=budget)]
+
+        with Workspace() as ws:
+            (full,) = run(ws, None)
+        checked = self._check_partials(run, "EC", _keys(full.pairs))
+        assert checked[0] > 0
+
+    def test_level_sweep_partials(self):
+        program = BY_NAME["TPC-C"].program()
+
+        def run(ws, budget):
+            return ws.analyze_program_levels(program, [CC, RR], budget=budget)
+
+        with Workspace() as ws:
+            cc, rr = run(ws, None)
+        checked = self._check_partials(
+            run, "CC+RR", _keys(cc.pairs) | _keys(rr.pairs)
+        )
+        assert checked[0] > 0
+
+
+def _report_signature(report):
+    return (
+        report.level,
+        report.pairs_checked,
+        [
+            (p.key(), sorted(p.fields1), sorted(p.fields2), p.interferers)
+            for p in report.pairs
+        ],
+    )
 
 
 class TestWireRoundTrip:

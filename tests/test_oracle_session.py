@@ -1,28 +1,28 @@
 """Incremental oracle sessions: differential equivalence against the
 cold solver, activation-group stress, and session lifecycle.
 
-The differential class is the PR's acceptance gate: for every corpus
+The differential class is the oracle's acceptance gate: for every corpus
 program, every focus pair x interferer, and every anomaly mode
-(EC/CC/RR/SC), the warm :class:`OracleSession` verdict must equal the
-cold ``solve_query`` verdict.  Witnesses must match exactly at EC (the
-level the repair loop consumes -- a session's first query runs on a
-virgin solver and is bit-identical to cold); at warmer levels the
-retained learned clauses may legitimately steer the solver to a
-*different* model of the same encoding, so any witness that differs
-from the cold one is validated semantically: the incremental model must
-satisfy the cold encoding (alias transitivity + the level's axioms +
-some violation disjunct), i.e. a cold solver pinned to that model would
-accept it and report exactly that witness.
+(EC/CC/RR/SC), the verdict of the warm :class:`IncrementalStrategy`
+(its :class:`OracleSession` pool) must equal the cold ``solve_query``
+verdict.  Witnesses must match exactly at EC (the level the repair loop
+consumes -- a session's first query runs on a virgin solver and is
+bit-identical to cold); at warmer levels the retained learned clauses
+may legitimately steer the solver to a *different* model of the same
+encoding, so any witness that differs from the cold one is validated
+semantically: the incremental model must satisfy the cold encoding
+(alias transitivity + the level's axioms + some violation disjunct),
+i.e. a cold solver pinned to that model would accept it and report
+exactly that witness.
 """
 
-import pickle
 import random
 
 import pytest
 
 from repro.analysis import CC, EC, RR, SC, OracleSession, summarize_program
 from repro.analysis.encoding import PairSession
-from repro.analysis.pipeline import QueryPlanner, solve_query
+from repro.analysis.pipeline import IncrementalStrategy, QueryPlanner, solve_query
 from repro.corpus import ALL_BENCHMARKS, BY_NAME
 from repro.errors import SolverError
 from repro.smt.formula import And, FormulaBuilder, Or, evaluate
@@ -31,23 +31,15 @@ from repro.smt.solver import Solver, lit, stats_delta
 ALL_LEVELS = (EC, CC, RR, SC)
 
 
-def _witness_fields(witness):
-    if witness is None:
-        return None
-    return (
-        witness.pattern,
-        tuple(sorted(witness.fields1)),
-        tuple(sorted(witness.fields2)),
-    )
-
-
 class TestDifferential:
-    """Incremental sessions against the cold solver, corpus-wide."""
+    """The incremental strategy against the cold solver, corpus-wide,
+    one ``run_levels`` call per query."""
 
     @pytest.mark.parametrize("bench", ALL_BENCHMARKS, ids=lambda b: b.name)
     def test_all_pairs_all_modes(self, bench):
         summaries = summarize_program(bench.program())
-        pool = OracleSession()
+        strategy = IncrementalStrategy()
+        pool = strategy.pool
         planner = QueryPlanner()
         cold_memo = {}
         checked = 0
@@ -62,9 +54,7 @@ class TestDifferential:
                     )
                     cold_memo[spec.cache_key] = cold
                 session_key = spec.cache_key[:3] + (True,)
-                warm = pool.solve(
-                    spec.c1, spec.c2, spec.summary_b, level, key=session_key
-                )
+                ((warm,),) = strategy.run_levels([spec], [[level]], True)
                 checked += 1
                 # Hard gate: verdicts agree on every pair x mode.
                 assert (cold.witness is None) == (warm.witness is None), (
@@ -102,53 +92,6 @@ class TestDifferential:
         fields1 = frozenset().union(*(d.fields1 for d in implicated))
         fields2 = frozenset().union(*(d.fields2 for d in implicated))
         assert witness.fields1 == fields1 and witness.fields2 == fields2
-
-
-class TestClauseDbDifferential:
-    """The arena clause store against the retired object store, corpus
-    wide: the arena is a decision-faithful transliteration, so warm
-    sessions over either backend must produce identical witnesses on
-    every pair x mode -- not just identical verdicts."""
-
-    @pytest.mark.parametrize("bench", ALL_BENCHMARKS, ids=lambda b: b.name)
-    def test_all_pairs_all_modes(self, bench, monkeypatch):
-        import repro.smt.solver as solver_module
-
-        summaries = summarize_program(bench.program())
-        planner = QueryPlanner()
-        arena_pool = OracleSession()
-        objects_pool = OracleSession()
-        checked = 0
-        for level in ALL_LEVELS:
-            plan = planner.plan(summaries, level, True)
-            for spec in plan.queries():
-                key = spec.cache_key[:3] + (True,)
-                # Sessions warm lazily, so the backend default must be
-                # right whenever either pool touches its solver.
-                monkeypatch.setattr(
-                    solver_module, "DEFAULT_CLAUSE_DB", "arena"
-                )
-                arena = arena_pool.solve(
-                    spec.c1, spec.c2, spec.summary_b, level, key=key
-                )
-                monkeypatch.setattr(
-                    solver_module, "DEFAULT_CLAUSE_DB", "objects"
-                )
-                objects = objects_pool.solve(
-                    spec.c1, spec.c2, spec.summary_b, level, key=key
-                )
-                checked += 1
-                assert arena.witness == objects.witness, (
-                    bench.name, level.name, spec.a_name,
-                    spec.c1.label, spec.c2.label, spec.summary_b.name,
-                )
-                assert arena.solved == objects.solved
-        assert checked > 0
-        for key, sess in objects_pool._sessions.items():
-            if sess._encoder is not None:
-                assert (
-                    sess._encoder.builder.solver.clause_db == "objects"
-                ), key
 
 
 class TestBatchedSweeps:
@@ -469,14 +412,6 @@ class TestPairSessionLifecycle:
                         return session, (c1, c2, other), witness
         raise AssertionError("corpus has no solvable pair")
 
-    def test_pickle_sheds_warm_state_and_rewarms(self):
-        session, (c1, c2, other), witness = self._session()
-        assert session.warmed
-        clone = pickle.loads(pickle.dumps(session))
-        assert not clone.warmed
-        rewitness, _, _ = clone.query(EC)
-        assert _witness_fields(rewitness) == _witness_fields(witness)
-
     def test_levels_share_one_warm_solver(self):
         session, _, _ = self._session()
         solver = session._encoder.builder.solver
@@ -539,15 +474,3 @@ class TestOracleSessionPool:
         counters = pool.counters()
         assert counters["live"] <= 2
         assert counters["evicted"] >= made - 2
-
-    def test_pool_pickles_and_rewarms(self):
-        summaries = summarize_program(BY_NAME["Courseware"].program())
-        pool = OracleSession()
-        for summary in summaries.values():
-            for c1, c2 in summary.ordered_pairs():
-                for other in summaries.values():
-                    pool.solve(c1, c2, other, EC)
-        clone = pickle.loads(pickle.dumps(pool))
-        assert len(clone) == len(pool)
-        for sess in clone._sessions.values():
-            assert not sess.warmed

@@ -10,8 +10,6 @@ to the serial seed oracle, batched ``analyze_many`` and level sweeps
 equal to their one-at-a-time forms, and one warm session per triple.
 """
 
-import os
-
 import pytest
 
 from repro.analysis import (
@@ -50,7 +48,7 @@ def canonical(pairs):
 
 class TestDifferential:
     """A pooled name's strategy against the cold solver, corpus-wide,
-    all levels, one ``run`` call per level."""
+    all levels, one ``run_levels`` call per level."""
 
     @pytest.mark.parametrize("bench", ALL_BENCHMARKS, ids=lambda b: b.name)
     def test_all_pairs_all_modes(self, bench):
@@ -62,9 +60,9 @@ class TestDifferential:
         try:
             for level in ALL_LEVELS:
                 specs = planner.plan(summaries, level, True).queries()
-                outcomes = strategy.run(specs, level, True)
-                assert len(outcomes) == len(specs)
-                for spec, outcome in zip(specs, outcomes):
+                swept = strategy.run_levels(specs, [(level,)] * len(specs), True)
+                assert len(swept) == len(specs)
+                for spec, (outcome,) in zip(specs, swept):
                     if spec.cache_key not in cold_memo:
                         cold_memo[spec.cache_key] = solve_query(
                             spec.c1, spec.c2, spec.summary_b, level, True
@@ -142,7 +140,7 @@ class TestShardAffinity:
             for level in ALL_LEVELS:
                 specs = planner.plan(summaries, level, True).queries()
                 total_specs += len(specs)
-                strategy.run(specs, level, True)
+                strategy.run_levels(specs, [(level,)] * len(specs), True)
             counters = strategy.pool.counters()
         finally:
             strategy.close()
@@ -214,13 +212,6 @@ class TestStrategyResolutionUpdates:
     def test_parallel_incremental_names_resolve(self):
         for name in ("parallel-incremental", "parallel_incremental", "parallel"):
             strategy = resolve_strategy(name)
-            assert isinstance(strategy, IncrementalStrategy)
-            strategy.close()
-
-    def test_auto_picks_incremental_on_one_core(self, monkeypatch):
-        for cores in (1, 4):
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
-            strategy = resolve_strategy("auto")
             assert isinstance(strategy, IncrementalStrategy)
             strategy.close()
 

@@ -426,28 +426,16 @@ class TestSolveBatch:
 class TestClauseDbSelection:
     def test_default_is_arena(self):
         s = Solver()
-        assert s.clause_db == "arena"
         a, b = s.new_var(), s.new_var()
         s.add_clause([lit(a), lit(b)])
         assert s.stats()["arena_bytes"] > 0
 
-    def test_objects_backend_keeps_zero_arena(self):
-        s = Solver(clause_db="objects")
-        assert s.clause_db == "objects"
-        a, b = s.new_var(), s.new_var()
-        s.add_clause([lit(a), lit(b)])
-        assert s.stats()["arena_bytes"] == 0
-        assert s.solve().sat
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SolverError):
-            Solver(clause_db="bogus")
-
 
 class TestArenaCompactionStress:
-    """Randomized add/retire/reduce churn on the arena backend, mirrored
-    against the retained object backend.  The compaction floor is
-    lowered so ``_reduce_db`` actually reclaims arena storage in-test."""
+    """Randomized add/retire/reduce churn on the arena, every solve
+    checked against a cold solver built from the active clauses.  The
+    compaction floor is lowered so ``_reduce_db`` actually reclaims arena
+    storage in-test."""
 
     NUM_VARS = 24
 
@@ -474,21 +462,27 @@ class TestArenaCompactionStress:
         assert not s.solve([s.group_literal(hard)]).sat
         s.retire_group(hard)
 
+    def _cold_verdict(self, clauses, assumptions):
+        cold = Solver()
+        for _ in range(self.NUM_VARS):
+            cold.new_var()
+        for c in clauses:
+            cold.add_clause(c)
+        return cold.solve(assumptions).sat
+
     def test_randomized_add_retire_reduce(self, monkeypatch):
         import repro.smt.solver as solver_module
 
         monkeypatch.setattr(solver_module, "_COMPACT_MIN_DEAD", 16)
         rng = random.Random(2024)
         arena = Solver()
-        objects = Solver(clause_db="objects")
-        for s in (arena, objects):
-            for _ in range(self.NUM_VARS):
-                s.new_var()
-            self._seed_hard_group(s)
-        groups = []  # [(arena_group, objects_group, clauses)]
+        for _ in range(self.NUM_VARS):
+            arena.new_var()
+        self._seed_hard_group(arena)
+        groups = []  # [(group, clauses)]
         shrank = False
         for round_no in range(10):
-            ga, go = arena.new_group(), objects.new_group()
+            group = arena.new_group()
             body = [
                 [
                     lit(rng.randrange(self.NUM_VARS), rng.random() < 0.5)
@@ -497,50 +491,128 @@ class TestArenaCompactionStress:
                 for _ in range(30)
             ]
             for c in body:
-                arena.add_clause(c, group=ga)
-                objects.add_clause(c, group=go)
-            groups.append((ga, go, body))
+                arena.add_clause(c, group=group)
+            groups.append((group, body))
             # A few solves per round under varying assumptions keeps the
             # conflict analysis (and so the learned DB) churning.
             for _ in range(3):
                 active = [g for g in groups if not arena.is_retired(g[0])]
+                clauses = [c for _, body in active for c in body]
                 extra = [
                     lit(rng.randrange(self.NUM_VARS), rng.random() < 0.5)
                     for _ in range(rng.randrange(3))
                 ]
-                ra = arena.solve(
-                    [arena.group_literal(g) for g, _, _ in active] + extra
+                warm = arena.solve(
+                    [arena.group_literal(g) for g, _ in active] + extra
                 )
-                ro = objects.solve(
-                    [objects.group_literal(g) for _, g, _ in active] + extra
+                assert warm.sat == self._cold_verdict(clauses, extra), (
+                    f"round {round_no}"
                 )
-                assert ra.sat == ro.sat, f"round {round_no}"
-                if ra.sat:
-                    assert self._model_satisfies(
-                        ra, [c for _, _, body in active for c in body]
-                    )
+                if warm.sat:
+                    assert self._model_satisfies(warm, clauses)
             before = arena.stats()["arena_bytes"]
             arena._reduce_db()
-            objects._reduce_db()
             shrank = shrank or arena.stats()["arena_bytes"] < before
             if rng.random() < 0.4:
-                victim = rng.choice(groups)
-                arena.retire_group(victim[0])
-                objects.retire_group(victim[1])
+                arena.retire_group(rng.choice(groups)[0])
         stats = arena.stats()
         # _reduce_db is a no-op (and doesn't count) on rounds with no
         # eligible victims, so only a lower bound is stable here.
         assert stats["db_reductions"] >= 1
         assert stats["learned_live"] == len(arena.learned)
         assert shrank, "no _reduce_db round ever compacted the arena"
-        # The churned warm solver still agrees with a cold solver on the
-        # surviving formula.
-        live = [g for g in groups if not arena.is_retired(g[0])]
-        cold = Solver()
-        for _ in range(self.NUM_VARS):
-            cold.new_var()
-        for _, _, body in live:
-            for c in body:
-                cold.add_clause(c)
-        warm = arena.solve([arena.group_literal(g) for g, _, _ in live])
-        assert warm.sat == cold.solve().sat
+
+
+@st.composite
+def _warm_script(draw):
+    """A random session on one warm solver: permanent and grouped clause
+    additions, group creation and retirement, and solves under group
+    activations plus assumption literals, in any order."""
+    num_vars = draw(st.integers(min_value=2, max_value=7))
+
+    def clause():
+        width = draw(st.integers(min_value=1, max_value=3))
+        return [
+            lit(draw(st.integers(0, num_vars - 1)), draw(st.booleans()))
+            for _ in range(width)
+        ]
+
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=16))):
+        kind = draw(st.sampled_from(("add", "group", "add", "retire", "solve")))
+        if kind == "add":
+            ops.append(("add", draw(st.integers(0, 3)), clause()))
+        elif kind == "retire":
+            ops.append(("retire", draw(st.integers(0, 3))))
+        elif kind == "solve":
+            ops.append(
+                (
+                    "solve",
+                    draw(st.lists(st.integers(0, 3), max_size=3, unique=True)),
+                    [
+                        lit(draw(st.integers(0, num_vars - 1)), draw(st.booleans()))
+                        for _ in range(draw(st.integers(0, 2)))
+                    ],
+                )
+            )
+        else:
+            ops.append(("group",))
+    ops.append(("solve", list(range(4)), []))
+    return num_vars, ops
+
+
+class TestWarmSolverAgainstBruteForce:
+    """One incremental solver driven through clause additions after
+    solves, clause groups, assumptions and ``retire_group``; every
+    verdict and model is checked against truth-table enumeration of the
+    clauses in force."""
+
+    @given(_warm_script())
+    @settings(max_examples=200, deadline=None)
+    def test_session_matches_enumeration(self, script):
+        num_vars, ops = script
+        s = Solver()
+        for _ in range(num_vars):
+            s.new_var()
+        permanent = []
+        groups = []  # [(group id, clauses)]; op slots index this list
+        retired = set()
+        for op in ops:
+            if op[0] == "group":
+                groups.append((s.new_group(), []))
+            elif op[0] == "retire":
+                if op[1] < len(groups):
+                    s.retire_group(groups[op[1]][0])
+                    retired.add(op[1])
+            elif op[0] == "add":
+                # Slot 0 adds a permanent clause, 1-3 add to that group.
+                slot, clause = op[1], op[2]
+                if slot == 0 or slot > len(groups):
+                    s.add_clause(clause)
+                    permanent.append(clause)
+                else:
+                    s.add_clause(clause, group=groups[slot - 1][0])
+                    if slot - 1 not in retired:
+                        # Clauses added to a retired group are no-ops.
+                        groups[slot - 1][1].append(clause)
+            else:
+                active = [i for i in op[1] if i < len(groups)]
+                assumptions = op[2]
+                got = s.solve(
+                    [s.group_literal(groups[i][0]) for i in active] + assumptions
+                )
+                in_force = (
+                    permanent
+                    + [c for i in active for c in groups[i][1]]
+                    + [[a] for a in assumptions]
+                )
+                # Activating a retired group is vacuously UNSAT.
+                want = not (set(active) & retired) and _brute_force(
+                    num_vars, in_force
+                )
+                assert got.sat == want, (ops, op)
+                if got.sat:
+                    for c in in_force:
+                        assert any(
+                            got.value(l >> 1) != bool(l & 1) for l in c
+                        ), (ops, op, c)
