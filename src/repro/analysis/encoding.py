@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.analysis.accesses import CommandInfo, TransactionSummary
 from repro.analysis.aliasing import Alias, alias_commands
 from repro.analysis.consistency import EC, ConsistencyLevel
-from repro.smt.solver import neg as sat_neg, stats_delta
+from repro.smt.solver import neg as sat_neg
 from repro.smt.formula import (
     And,
     BoolVar,
@@ -902,67 +902,35 @@ class PairSession:
             groups.append(group_id)
         return groups
 
-    def query(
-        self,
-        level: ConsistencyLevel,
-        use_prefilter: bool = True,
-        budget=None,
-    ) -> Tuple[Optional[PairWitness], bool, Dict[str, int]]:
-        """Check the triple at ``level`` on the warm solver.
-
-        Returns ``(witness | None, solved, solver stat delta)`` where
-        ``solved`` mirrors the cold path's accounting: False when the
-        static screen emptied the query (and the prefilter is billing
-        such queries as skipped).
-        """
-        self._ensure_warm()
-        self.queries += 1
-        if not self._disjuncts:
-            return None, not use_prefilter, {}
-        assert self._encoder is not None
-        # Warm shortcut: a model known to satisfy the skeleton and the
-        # disjunction (found by an earlier query, or the static
-        # empty-view candidate) that also satisfies this level's axioms
-        # proves the query SAT with no solving -- and no axiom groups
-        # ever built.  Levels only shrink the model set, so reusing a
-        # model across levels is sound.  If every candidate fails, fall
-        # through to the solver.
-        model = self._reusable_model(level)
-        if model is not None:
-            self.model_hits += 1
-            delta: Dict[str, int] = {}
-        else:
-            builder = self._encoder.builder
-            groups = self._axiom_groups(level)
-            before = builder.solver.stats()
-            model = builder.check(groups=groups, budget=budget)
-            delta = stats_delta(builder.solver.stats(), before)
-            if model is None:
-                return None, True, delta
-            self._remember_model(model)
-        return self._witness_for(model), True, delta
-
     def query_batch(
         self,
         levels: List[ConsistencyLevel],
         use_prefilter: bool = True,
         budget=None,
     ) -> List[Tuple[Optional[PairWitness], bool, Dict[str, int]]]:
-        """Check the triple at several levels in one warm sweep.
+        """Check the triple at each of ``levels`` in one warm sweep.
 
-        Semantically one :meth:`query` per level, in order, but the
-        levels that miss the model-reuse shortcut are discharged through
+        Returns one ``(witness | None, solved, solver stat delta)`` per
+        level, in order, where ``solved`` mirrors the cold path's
+        accounting: False when the static screen emptied the query (and
+        the prefilter is billing such queries as skipped).
+
+        Warm shortcut: a model known to satisfy the skeleton and the
+        disjunction (found by an earlier query, or the static empty-view
+        candidate) that also satisfies a level's axioms proves that level
+        SAT with no solving -- and no axiom groups ever built.  Levels
+        only shrink the model set, so reusing a model across levels is
+        sound.  The levels that miss the shortcut are discharged through
         a single :meth:`FormulaBuilder.check_batch` call -- one
         incremental solve sequence per triple instead of one Python
         round-trip through the stack per level.
 
-        The only divergence from back-to-back ``query`` calls: pending
-        levels are screened against the models known *before* the batch,
-        so a model found mid-batch is not consulted for later levels.
-        That can turn a would-be model hit into a (warm, assumption-
-        based) solve; verdicts are unaffected, and each solve is
-        independent of its batch neighbours by the group-assumption
-        scheme.
+        Levels are screened against the models known *before* the batch,
+        so a model found mid-batch is not consulted for later levels of
+        the same batch.  That can turn a would-be model hit into a
+        (warm, assumption-based) solve; verdicts are unaffected, and each
+        solve is independent of its batch neighbours by the
+        group-assumption scheme.
         """
         self._ensure_warm()
         results: List[Tuple[Optional[PairWitness], bool, Dict[str, int]]]

@@ -183,36 +183,6 @@ class OracleSession:
             self._sessions.move_to_end(key)
         return sess
 
-    def solve(
-        self,
-        c1: CommandInfo,
-        c2: CommandInfo,
-        summary_b: TransactionSummary,
-        level: ConsistencyLevel,
-        distinct_args: Optional[bool] = None,
-        use_prefilter: bool = True,
-        key: Optional[SessionKey] = None,
-        budget=None,
-    ):
-        """Discharge one anomaly query on the triple's warm session;
-        returns a :class:`~repro.analysis.pipeline.QueryOutcome`."""
-        from repro.analysis.pipeline import QueryOutcome, WitnessData
-
-        sess = self.session(c1, c2, summary_b, distinct_args, key=key)
-        witness, solved, stats = sess.query(
-            level, use_prefilter=use_prefilter, budget=budget
-        )
-        data = (
-            WitnessData(
-                pattern=witness.pattern,
-                fields1=witness.fields1,
-                fields2=witness.fields2,
-            )
-            if witness is not None
-            else None
-        )
-        return QueryOutcome(witness=data, solved=solved, stats=stats)
-
     def solve_batch(
         self,
         c1: CommandInfo,

@@ -753,8 +753,6 @@ class QueryBatch:
 class QueryPlan:
     """The planner's output: one batch per candidate access pair."""
 
-    level: ConsistencyLevel
-    distinct_args: bool
     batches: List[QueryBatch]
 
     def queries(self) -> List[QuerySpec]:
@@ -822,9 +820,7 @@ class QueryPlanner:
                     )
                     query_index += 1
                 batches.append(batch)
-        plan = QueryPlan(
-            level=level, distinct_args=distinct_args, batches=batches
-        )
+        plan = QueryPlan(batches=batches)
         if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
             _PLAN_CACHE.clear()
         _PLAN_CACHE[cache_key] = plan

@@ -4,8 +4,9 @@ One :class:`Workspace` (corpus + cache + execution strategy) answers
 four operations -- **analyze**, **repair**, **bench**, **protect**
 (live repair; see :mod:`repro.live`) -- over frozen,
 versioned request/response dataclasses with ``to_json``/``from_json``
-(see :mod:`repro.api.types`; wire shapes are pinned by the golden
-documents under ``schemas/``).  Errors are :class:`~repro.errors.
+(see :mod:`repro.api.types`: one codec derives both, and each class's
+JSON Schema, from the dataclass fields; the schemas are pinned by the
+golden documents under ``schemas/``).  Errors are :class:`~repro.errors.
 ReproError` subclasses with stable machine-readable codes
 (:mod:`repro.api.errors`); long operations narrate themselves through
 :class:`~repro.api.events.ProgressEvent` callbacks.

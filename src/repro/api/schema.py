@@ -1,12 +1,17 @@
 """Versioned JSON schemas for every wire type, plus a tiny validator.
 
 The documents returned by :func:`all_schemas` are the contract of the
-``/v1`` HTTP surface.  They are dumped to the committed ``schemas/``
-directory (``repro schemas --out schemas``) and CI regenerates and
-diffs them (``repro schemas --check``): any change to a wire shape
-either bumps :data:`~repro.api.types.SCHEMA_VERSION` (producing new
-``*.v2.json`` files next to the frozen v1 ones) or is a build failure.
-That is the whole drift gate -- no schema review by eyeball.
+``/v1`` HTTP surface.  The eight request/result documents come from the
+wire dataclasses themselves: each class's ``json_schema()`` reads the
+same field table as its ``to_json``/``from_json`` (see
+:mod:`repro.api.types`).  Only the service's own documents (``error``,
+``health``, ``stats``, ``job``, ``job_event``) are written here by
+hand.  All of them are dumped to the committed ``schemas/`` directory
+(``repro schemas --out schemas``) and CI regenerates and diffs them
+(``repro schemas --check``): any change to a wire shape either bumps
+:data:`~repro.api.types.SCHEMA_VERSION` (producing new ``*.v2.json``
+files next to the frozen v1 ones) or is a build failure.  That is the
+whole drift gate -- no schema review by eyeball.
 
 The validator implements the subset of JSON Schema the documents use
 (``type``, ``properties``, ``required``, ``additionalProperties``,
@@ -19,115 +24,17 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.api.types import LEVELS, SCHEMA_VERSION, SEARCHES
+from repro.api.types import SCHEMA_VERSION, WIRE_KINDS, PairData
 
 # ---------------------------------------------------------------------------
 # Schema documents
 # ---------------------------------------------------------------------------
-
-
-def _envelope(kind: str, extra_props: dict, required: List[str]) -> dict:
-    """The shared request/response envelope: pinned version + kind."""
-    props = {
-        "version": {"enum": [SCHEMA_VERSION]},
-        "kind": {"enum": [kind]},
-    }
-    props.update(extra_props)
-    return {
-        "type": "object",
-        "properties": props,
-        "required": ["version", "kind"] + required,
-        "additionalProperties": False,
-    }
-
 
 _STR = {"type": "string"}
 _OPT_STR = {"type": ["string", "null"]}
 _INT = {"type": "integer"}
 _NUM = {"type": "number"}
 _BOOL = {"type": "boolean"}
-_STR_LIST = {"type": "array", "items": _STR}
-_LEVEL = {"enum": list(LEVELS)}
-_SEARCH = {"enum": list(SEARCHES)}
-
-#: Plan documents have their own internal version (RewritePlan JSON);
-#: the API schema treats them as opaque objects with a version+steps.
-_PLAN = {
-    "type": "object",
-    "properties": {
-        "version": _INT,
-        "steps": {"type": "array", "items": {"type": "object"}},
-    },
-    "required": ["version", "steps"],
-    "additionalProperties": False,
-}
-
-_PAIR = {
-    "type": "object",
-    "properties": {
-        "txn": _STR,
-        "c1": _STR,
-        "fields1": _STR_LIST,
-        "c2": _STR,
-        "fields2": _STR_LIST,
-        "interferers": _STR_LIST,
-        "patterns": _STR_LIST,
-    },
-    "required": ["txn", "c1", "fields1", "c2", "fields2"],
-    "additionalProperties": False,
-}
-
-_PAIR_LIST = {"type": "array", "items": _PAIR}
-
-#: Budget documents accepted by analyze/repair requests; today the only
-#: knob is a solver conflict cap (wall-clock lives in ``deadline_ms``).
-_BUDGET = {
-    "type": "object",
-    "properties": {"max_conflicts": _INT},
-    "additionalProperties": False,
-}
-
-#: Partial results attached to a ``deadline-exceeded`` error payload:
-#: every pair confirmed anomalous before the deadline, plus how far the
-#: sweep got (``pairs_checked`` of ``pairs_total`` candidate pairs).
-_PARTIAL = {
-    "type": "object",
-    "properties": {
-        "level": _STR,
-        "pairs": _PAIR_LIST,
-        "pairs_checked": _INT,
-        "pairs_total": _INT,
-    },
-    "required": ["pairs", "pairs_checked", "pairs_total"],
-    "additionalProperties": False,
-}
-
-_OUTCOME = {
-    "type": "object",
-    "properties": {"action": _STR, "pair": _PAIR},
-    "required": ["action", "pair"],
-    "additionalProperties": False,
-}
-
-_BENCH_ROW = {
-    "type": "object",
-    "properties": {
-        "name": _STR,
-        "txns": _INT,
-        "tables_before": _INT,
-        "tables_after": _INT,
-        "ec": _INT,
-        "at": _INT,
-        "cc": _INT,
-        "rr": _INT,
-        "time_s": _NUM,
-        "repair_seconds": _NUM,
-        "plan_steps": _INT,
-        "plan": _PLAN,
-    },
-    "required": ["name", "ec", "at", "cc", "rr", "plan_steps"],
-    "additionalProperties": False,
-}
 
 _COUNTERS = {"type": "object", "additionalProperties": _INT}
 
@@ -155,189 +62,27 @@ _EVENT = {
     "additionalProperties": False,
 }
 
-#: One seeded weak-exploration count in a live-protect result.
-_EXPLORATION = {
-    "type": "object",
-    "properties": {"anomalies": _INT, "errors": _INT, "samples": _INT},
-    "required": ["anomalies", "errors", "samples"],
-    "additionalProperties": False,
-}
-
-#: One compiled mutation rule's wire row (match + serving + counters).
-_RULE_ROW = {
-    "type": "object",
-    "properties": {
-        "txn": _STR,
-        "label": _STR,
-        "op": {"enum": ["select", "update", "insert"]},
-        "table": _STR,
-        "fields": _STR_LIST,
-        "serving": _STR_LIST,
-        "identity": _BOOL,
-        "hits": _INT,
-        "rewrites": _INT,
-        "skips": _INT,
-    },
-    "required": ["txn", "label", "op", "table", "serving", "identity"],
-    "additionalProperties": False,
-}
-
-#: A plan step the live compiler could not lower, with its reason.
-_UNSUPPORTED_STEP = {
-    "type": "object",
-    "properties": {"step": {"type": "object"}, "reason": _STR},
-    "required": ["step", "reason"],
-    "additionalProperties": False,
-}
-
-#: The simulated overhead measurement document (see
-#: :mod:`repro.live.overhead`).
-_OVERHEAD = {
-    "type": "object",
-    "properties": {
-        "benchmark": _STR,
-        "clients": _INT,
-        "scale": _INT,
-        "seed": _INT,
-        "predicted_throughput": _NUM,
-        "live_throughput": _NUM,
-        "overhead_ratio": _NUM,
-        "live_avg_latency_ms": _NUM,
-        "live_p95_latency_ms": _NUM,
-        "rules": _INT,
-        "rewritten_rules": _INT,
-        "unsupported": _INT,
-    },
-    "required": ["benchmark", "predicted_throughput", "live_throughput",
-                 "overhead_ratio"],
-    "additionalProperties": False,
-}
-
 
 def all_schemas() -> Dict[str, dict]:
     """``name -> schema document`` for the current protocol version.
-    Names map to files ``schemas/<name>.v<version>.json``."""
-    analyze_request = _envelope(
-        "analyze_request",
-        {
-            "source": _OPT_STR,
-            "benchmark": _OPT_STR,
-            "level": _LEVEL,
-            "use_prefilter": _BOOL,
-            "distinct_args": _BOOL,
-            "deadline_ms": _INT,
-            "budget": _BUDGET,
-            "tenant": _STR,
-        },
-        [],
-    )
-    analyze_result = _envelope(
-        "analyze_result",
-        {
-            "level": _LEVEL,
-            "pairs": _PAIR_LIST,
+    Names map to files ``schemas/<name>.v<version>.json``.  The eight
+    request/result documents come from the wire dataclasses; only the
+    service's own documents are written here."""
+    docs = {kind: cls.json_schema() for kind, cls in WIRE_KINDS.items()}
+    # Partial results attached to a ``deadline-exceeded`` error payload:
+    # every pair confirmed anomalous before the deadline, plus how far the
+    # sweep got (``pairs_checked`` of ``pairs_total`` candidate pairs).
+    partial = {
+        "type": "object",
+        "properties": {
+            "level": _STR,
+            "pairs": {"type": "array", "items": PairData.json_schema()},
             "pairs_checked": _INT,
-            "sat_queries": _INT,
-            "cache_hits": _INT,
-            "cache_misses": _INT,
-            "strategy": _STR,
-            "elapsed_seconds": _NUM,
+            "pairs_total": _INT,
         },
-        ["level", "pairs"],
-    )
-    repair_request = _envelope(
-        "repair_request",
-        {
-            "source": _OPT_STR,
-            "benchmark": _OPT_STR,
-            "level": _LEVEL,
-            "search": _SEARCH,
-            "use_prefilter": _BOOL,
-            "plan": _PLAN,
-            "deadline_ms": _INT,
-            "budget": _BUDGET,
-            "tenant": _STR,
-        },
-        [],
-    )
-    repair_result = _envelope(
-        "repair_result",
-        {
-            "initial_pairs": _PAIR_LIST,
-            "residual_pairs": _PAIR_LIST,
-            "outcomes": {"type": "array", "items": _OUTCOME},
-            "plan": _PLAN,
-            "repaired_program": _STR,
-            "serializable_variant": _STR,
-            "tables_before": _INT,
-            "tables_after": _INT,
-            "search": _STR,
-            "strategy": _STR,
-            "elapsed_seconds": _NUM,
-        },
-        ["initial_pairs", "residual_pairs", "plan", "repaired_program"],
-    )
-    bench_request = _envelope(
-        "bench_request",
-        {"benchmarks": _STR_LIST, "search": _SEARCH, "tenant": _STR},
-        [],
-    )
-    bench_result = _envelope(
-        "bench_result",
-        {
-            "rows": {"type": "array", "items": _BENCH_ROW},
-            "search": _STR,
-            "strategy": _STR,
-            "elapsed_seconds": _NUM,
-        },
-        ["rows"],
-    )
-    live_protect_request = _envelope(
-        "live_protect_request",
-        {
-            "benchmark": _STR,
-            "plan": _PLAN,
-            "samples": _INT,
-            "seed": _INT,
-            "scale": _INT,
-            "measure": _BOOL,
-            "clients": _INT,
-            "tenant": _STR,
-        },
-        ["benchmark"],
-    )
-    live_protect_result = _envelope(
-        "live_protect_result",
-        {
-            "benchmark": _STR,
-            "rules": _INT,
-            "identity_rules": _INT,
-            "unsupported": _INT,
-            "unsupported_steps": {"type": "array", "items": _UNSUPPORTED_STEP},
-            "serial_match": _BOOL,
-            "verdict_match": _BOOL,
-            "passed": _BOOL,
-            "samples": _INT,
-            "seed": _INT,
-            "scale": _INT,
-            "anomalies": {
-                "type": "object",
-                "properties": {
-                    "original": _EXPLORATION,
-                    "static": _EXPLORATION,
-                    "target": _EXPLORATION,
-                    "live": _EXPLORATION,
-                },
-                "required": ["original", "static", "target", "live"],
-                "additionalProperties": False,
-            },
-            "rule_summary": {"type": "array", "items": _RULE_ROW},
-            "overhead": _OVERHEAD,
-            "elapsed_seconds": _NUM,
-        },
-        ["benchmark", "rules", "serial_match", "verdict_match", "passed",
-         "anomalies"],
-    )
+        "required": ["pairs", "pairs_checked", "pairs_total"],
+        "additionalProperties": False,
+    }
     error = {
         "type": "object",
         "properties": {
@@ -346,7 +91,7 @@ def all_schemas() -> Dict[str, dict]:
                 "properties": {
                     "code": _STR,
                     "message": _STR,
-                    "partial": _PARTIAL,
+                    "partial": partial,
                 },
                 "required": ["code", "message"],
                 "additionalProperties": False,
@@ -447,21 +192,10 @@ def all_schemas() -> Dict[str, dict]:
         },
         "additionalProperties": False,
     }
-    return {
-        "analyze_request": analyze_request,
-        "analyze_result": analyze_result,
-        "repair_request": repair_request,
-        "repair_result": repair_result,
-        "bench_request": bench_request,
-        "bench_result": bench_result,
-        "live_protect_request": live_protect_request,
-        "live_protect_result": live_protect_result,
-        "error": error,
-        "health": health,
-        "stats": stats,
-        "job": job,
-        "job_event": job_event,
-    }
+    docs.update(
+        error=error, health=health, stats=stats, job=job, job_event=job_event
+    )
+    return docs
 
 
 def schema_filename(name: str, version: int = SCHEMA_VERSION) -> str:

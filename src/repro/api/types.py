@@ -2,11 +2,15 @@
 
 Every public operation of :class:`~repro.api.workspace.Workspace` is a
 pure function from a frozen request dataclass to a frozen result
-dataclass.  Each type serializes through ``to_json``/``from_json`` under
-an explicit envelope -- ``{"version": 1, "kind": "analyze_request", ...}``
--- and the JSON shapes are pinned by the golden documents under
-``schemas/`` (see :mod:`repro.api.schema`): changing a shape without
-bumping :data:`SCHEMA_VERSION` fails the drift gate in CI.
+dataclass.  The dataclass fields are the only description of each JSON
+shape: one codec, shared by every wire class, reads a class's fields and
+annotations once and derives from them the encoder (``to_json``), the
+strict decoder (``from_json``) and the class's JSON Schema document
+(``json_schema``).  Classes with a ``kind`` travel under an explicit
+envelope -- ``{"version": 1, "kind": "analyze_request", ...}`` -- and
+:mod:`repro.api.schema` dumps their schemas to the golden documents
+under ``schemas/``, so changing a field without bumping
+:data:`SCHEMA_VERSION` fails the drift gate in CI.
 
 Decoding is strict: a missing required field, an unknown field, a value
 of the wrong type, or a value outside its enum raises
@@ -17,73 +21,324 @@ point -- the service must never half-understand a request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Type
+from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
+from typing import Dict, Literal, Optional, Tuple, Type, Union, get_args, get_origin, get_type_hints
 
 from repro.api.errors import InvalidRequestError, SchemaVersionError
 
 #: The one protocol version this build speaks (the ``v1`` in ``/v1/...``).
 SCHEMA_VERSION = 1
 
-LEVELS = ("EC", "CC", "RR", "SC")
-SEARCHES = ("greedy", "beam", "random")
+Level = Literal["EC", "CC", "RR", "SC"]
+Search = Literal["greedy", "beam", "random"]
+LEVELS: Tuple[str, ...] = get_args(Level)
+SEARCHES: Tuple[str, ...] = get_args(Search)
 
 
 # ---------------------------------------------------------------------------
-# Envelope + field decoding helpers
+# The codec: encoder, decoder and schema read off the dataclass fields
 # ---------------------------------------------------------------------------
 
+_JSON_TYPES = {
+    str: "string",
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    dict: "object",
+}
 
-def _check_envelope(data: object, kind: str) -> Dict[str, object]:
-    if not isinstance(data, dict):
-        raise InvalidRequestError(
-            f"expected a JSON object for {kind}, got {type(data).__name__}"
+
+def _unwrap(hint):
+    """``Optional[X]`` -> ``X``; any other annotation unchanged."""
+    if get_origin(hint) is Union:
+        hint = next(a for a in get_args(hint) if a is not type(None))
+    return hint
+
+
+def _is_wire(hint) -> bool:
+    return isinstance(hint, type) and issubclass(hint, _Wire)
+
+
+def _schema(hint) -> dict:
+    """The JSON Schema an annotation implies (a dict is a schema already)."""
+    if isinstance(hint, dict):
+        return hint
+    hint = _unwrap(hint)
+    if get_origin(hint) is Literal:
+        return {"enum": list(get_args(hint))}
+    if get_origin(hint) is tuple:
+        return {"type": "array", "items": _schema(get_args(hint)[0])}
+    if _is_wire(hint):
+        return hint.json_schema()
+    return {"type": _JSON_TYPES[hint]}
+
+
+def _object(required: Tuple[str, ...], **properties) -> dict:
+    """A closed JSON object schema; each property is an annotation or a
+    schema."""
+    doc = {
+        "type": "object",
+        "properties": {k: _schema(v) for k, v in properties.items()},
+    }
+    if required:
+        doc["required"] = list(required)
+    doc["additionalProperties"] = False
+    return doc
+
+
+def _typed(types: Tuple[type, ...], enum: Optional[Tuple[str, ...]] = None):
+    """Decoder for a JSON value of one of ``types`` (and in ``enum``)."""
+    names = "/".join(t.__name__ for t in types)
+
+    def check(where: str, value):
+        # JSON true/false must not satisfy integer/number fields (bool is an
+        # int subclass in Python); the shipped validator agrees (_type_ok).
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise InvalidRequestError(
+                f"{where} must be {names}, got {type(value).__name__}"
+            )
+        if enum is not None and value not in enum:
+            raise InvalidRequestError(
+                f"{where} must be one of {', '.join(enum)}; got {value!r}"
+            )
+        return value
+
+    return check
+
+
+def _strings(where: str, value) -> Tuple[str, ...]:
+    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
+        raise InvalidRequestError(f"{where} must be a list of strings")
+    return tuple(value)
+
+
+def _decoder(hint):
+    """``(where, value) -> field value`` for one annotation; ``where``
+    (``kind.field``) names the field in errors."""
+    hint = _unwrap(hint)
+    if get_origin(hint) is Literal:
+        return _typed((str,), get_args(hint))
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        if item is str:
+            return _strings
+        as_list = _typed((list,))
+        if item is dict:
+
+            def objects(where: str, value) -> Tuple[dict, ...]:
+                if any(not isinstance(v, dict) for v in as_list(where, value)):
+                    raise InvalidRequestError(f"{where} must be a list of objects")
+                return tuple(value)
+
+            return objects
+        return lambda where, value: tuple(
+            item.from_json(v) for v in as_list(where, value)
         )
-    version = data.get("version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"unsupported schema version {version!r} "
-            f"(this server speaks version {SCHEMA_VERSION})"
-        )
-    got_kind = data.get("kind")
-    if got_kind != kind:
-        raise InvalidRequestError(f"expected kind {kind!r}, got {got_kind!r}")
-    return {k: v for k, v in data.items() if k not in ("version", "kind")}
+    if _is_wire(hint):
+        as_dict = _typed((dict,))
+        return lambda where, value: hint.from_json(as_dict(where, value))
+    return _typed((int, float) if hint is float else (hint,))
 
 
-def _no_extras(kind: str, body: Dict[str, object], known: Tuple[str, ...]) -> None:
-    extras = sorted(set(body) - set(known))
-    if extras:
-        raise InvalidRequestError(f"unknown field(s) for {kind}: {', '.join(extras)}")
-
-
-def _field(kind, body, name, types, default, required=False, enum=None):
-    if name not in body:
-        if required:
-            raise InvalidRequestError(f"{kind} is missing required field {name!r}")
-        return default
-    value = body[name]
-    # JSON true/false must not satisfy integer/number fields (bool is an
-    # int subclass in Python); the shipped validator agrees (_type_ok).
-    if not isinstance(value, types) or (
-        isinstance(value, bool) and bool not in types
-    ):
-        raise InvalidRequestError(
-            f"{kind}.{name} must be {'/'.join(t.__name__ for t in types)}, "
-            f"got {type(value).__name__}"
-        )
-    if enum is not None and value not in enum:
-        raise InvalidRequestError(
-            f"{kind}.{name} must be one of {', '.join(enum)}; got {value!r}"
-        )
+def _to_json(value):
+    """A field value as JSON: tuples as lists, wire objects encoded."""
+    if isinstance(value, _Wire):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
     return value
 
 
-def _str_tuple(kind: str, body: Dict[str, object], name: str) -> Tuple[str, ...]:
-    value = body.get(name, [])
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise InvalidRequestError(f"{kind}.{name} must be a list of strings")
-    return tuple(value)
+class _Codec:
+    """One wire class's field table, read once from its dataclass fields."""
+
+    def __init__(self, cls: type):
+        hints = get_type_hints(cls)
+        self.cls = cls
+        self.kind = cls.kind
+        self.label = cls.kind or cls._label
+        self.required = cls._required
+        self.envelope = (
+            {"version": SCHEMA_VERSION, "kind": cls.kind} if cls.kind else {}
+        )
+        self.names = {f.name for f in fields(cls)} | set(self.envelope)
+        self.schemas = {}
+        self.decoders = []
+        for f in fields(cls):
+            hint = hints[f.name]
+            fragment = f.metadata.get("schema")
+            self.schemas[f.name] = hint if fragment is None else fragment
+            types = (fragment or {}).get("type")
+            nullable = isinstance(types, list) and "null" in types
+            has_default = f.default is not MISSING or f.default_factory is not MISSING
+            # An absent optional field without a dataclass default decodes
+            # as its type's zero value: str() == "", tuple() == (), ...
+            zero = None if has_default else get_origin(hint) or hint
+            self.decoders.append((
+                f.name, f"{self.label}.{f.name}", _decoder(hint),
+                f.name in self.required, nullable, zero,
+            ))
+
+    def encode(self, obj) -> dict:
+        out = dict(self.envelope)
+        for name in self.schemas:
+            value = getattr(obj, name)
+            if value is not None:
+                out[name] = _to_json(value)
+        return out
+
+    def decode(self, data: object):
+        if not isinstance(data, dict):
+            if self.kind:
+                raise InvalidRequestError(
+                    f"expected a JSON object for {self.kind}, "
+                    f"got {type(data).__name__}"
+                )
+            raise InvalidRequestError(f"{self.label} must be a JSON object")
+        if self.kind:
+            version = data.get("version")
+            if version != SCHEMA_VERSION:
+                raise SchemaVersionError(
+                    f"unsupported schema version {version!r} "
+                    f"(this server speaks version {SCHEMA_VERSION})"
+                )
+            if data.get("kind") != self.kind:
+                raise InvalidRequestError(
+                    f"expected kind {self.kind!r}, got {data.get('kind')!r}"
+                )
+        extras = sorted(set(data) - self.names)
+        if extras:
+            raise InvalidRequestError(
+                f"unknown field(s) for {self.label}: {', '.join(extras)}"
+            )
+        values = {}
+        for name, where, check, required, nullable, zero in self.decoders:
+            # A null where the schema allows one means "absent".
+            if name in data and not (nullable and data[name] is None):
+                values[name] = check(where, data[name])
+            elif required:
+                raise InvalidRequestError(
+                    f"{self.label} is missing required field {name!r}"
+                )
+            elif zero is not None:
+                values[name] = zero()
+        return self.cls(**values)
+
+    def schema(self) -> dict:
+        if not self.kind:
+            return _object(self.required, **self.schemas)
+        return _object(
+            ("version", "kind") + self.required,
+            version={"enum": [SCHEMA_VERSION]},
+            kind={"enum": [self.kind]},
+            **self.schemas,
+        )
+
+
+@lru_cache(maxsize=None)  # one entry per wire class
+def _codec(cls: type) -> _Codec:
+    return _Codec(cls)
+
+
+class _Wire:
+    """Base of the wire dataclasses: one ``to_json``/``from_json`` for all.
+
+    A subclass declares, next to its fields, only what their annotations
+    cannot say: ``kind`` (the envelope of a top-level document),
+    ``_label`` (the name errors give a nested object), ``_required``
+    (the fields the v1 schema requires, in schema order), and a
+    :func:`_fragment` on a field whose JSON Schema is richer than its
+    annotation.
+    """
+
+    kind: Optional[str] = None
+    _label = ""
+    _required: Tuple[str, ...] = ()
+
+    def to_json(self) -> dict:
+        """The JSON document: ``None`` fields left out, tuples as lists,
+        nested wire objects encoded, the envelope when ``kind`` is set."""
+        return _codec(type(self)).encode(self)
+
+    @classmethod
+    def from_json(cls, data: object):
+        """Strictly decode a JSON document (see the module docstring)."""
+        return _codec(cls).decode(data)
+
+    @classmethod
+    def json_schema(cls) -> dict:
+        """The JSON Schema document of this class's wire shape."""
+        return _codec(cls).schema()
+
+
+def _fragment(schema: dict, **kwargs):
+    """A dataclass field whose JSON Schema is ``schema`` instead of the one
+    its annotation implies."""
+    return field(metadata={"schema": schema}, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Schema fragments for fields annotated only as ``dict`` or ``str``
+# ---------------------------------------------------------------------------
+
+#: ``source``/``benchmark`` of analyze and repair requests: the v1 schema
+#: accepts ``null``, which decodes as absent.
+_NULLABLE_STR = {"type": ["string", "null"]}
+
+#: Plan documents have their own internal version (RewritePlan JSON);
+#: the API schema treats them as opaque objects with a version+steps.
+_PLAN = _object(("version", "steps"), version=int, steps=Tuple[dict, ...])
+
+#: Budget documents accepted by analyze/repair requests; today the only
+#: knob is a solver conflict cap (wall-clock lives in ``deadline_ms``).
+_BUDGET = _object((), max_conflicts=int)
+
+#: One seeded weak-exploration count in a live-protect result.
+_EXPLORATION = _object(
+    ("anomalies", "errors", "samples"), anomalies=int, errors=int, samples=int
+)
+
+_SIDES = ("original", "static", "target", "live")
+_ANOMALIES = _object(_SIDES, **dict.fromkeys(_SIDES, _EXPLORATION))
+
+#: One compiled mutation rule's wire row (match + serving + counters).
+_RULE_ROW = _object(
+    ("txn", "label", "op", "table", "serving", "identity"),
+    txn=str,
+    label=str,
+    op=Literal["select", "update", "insert"],
+    table=str,
+    fields=Tuple[str, ...],
+    serving=Tuple[str, ...],
+    identity=bool,
+    hits=int,
+    rewrites=int,
+    skips=int,
+)
+
+#: A plan step the live compiler could not lower, with its reason.
+_UNSUPPORTED_STEP = _object(("step", "reason"), step=dict, reason=str)
+
+#: The simulated overhead measurement document (see
+#: :mod:`repro.live.overhead`).
+_OVERHEAD = _object(
+    ("benchmark", "predicted_throughput", "live_throughput", "overhead_ratio"),
+    benchmark=str,
+    clients=int,
+    scale=int,
+    seed=int,
+    predicted_throughput=float,
+    live_throughput=float,
+    overhead_ratio=float,
+    live_avg_latency_ms=float,
+    live_p95_latency_ms=float,
+    rules=int,
+    rewritten_rules=int,
+    unsupported=int,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +347,7 @@ def _str_tuple(kind: str, body: Dict[str, object], name: str) -> Tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class PairData:
+class PairData(_Wire):
     """One anomalous access pair (the paper's chi tuple), wire form.
 
     Field sets are sorted tuples so the JSON is canonical -- two runs
@@ -106,6 +361,9 @@ class PairData:
     fields2: Tuple[str, ...]
     interferers: Tuple[str, ...]
     patterns: Tuple[str, ...]
+
+    _label = "pair"
+    _required = ("txn", "c1", "fields1", "c2", "fields2")
 
     @classmethod
     def from_pair(cls, pair) -> "PairData":
@@ -125,61 +383,16 @@ class PairData:
         f2 = "{" + ", ".join(self.fields2) + "}"
         return f"{self.txn}: ({self.c1}, {f1}, {self.c2}, {f2})"
 
-    def to_json(self) -> dict:
-        return {
-            "txn": self.txn,
-            "c1": self.c1,
-            "fields1": list(self.fields1),
-            "c2": self.c2,
-            "fields2": list(self.fields2),
-            "interferers": list(self.interferers),
-            "patterns": list(self.patterns),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PairData":
-        kind = "pair"
-        if not isinstance(data, dict):
-            raise InvalidRequestError(f"{kind} must be a JSON object")
-        _no_extras(kind, data, ("txn", "c1", "fields1", "c2", "fields2",
-                                "interferers", "patterns"))
-        for name in ("fields1", "fields2"):
-            if name not in data:
-                raise InvalidRequestError(
-                    f"{kind} is missing required field {name!r}"
-                )
-        return cls(
-            txn=_field(kind, data, "txn", (str,), "", required=True),
-            c1=_field(kind, data, "c1", (str,), "", required=True),
-            fields1=_str_tuple(kind, data, "fields1"),
-            c2=_field(kind, data, "c2", (str,), "", required=True),
-            fields2=_str_tuple(kind, data, "fields2"),
-            interferers=_str_tuple(kind, data, "interferers"),
-            patterns=_str_tuple(kind, data, "patterns"),
-        )
-
 
 @dataclass(frozen=True)
-class OutcomeData:
+class OutcomeData(_Wire):
     """What the search did to one anomalous pair."""
 
     action: str
     pair: PairData
 
-    def to_json(self) -> dict:
-        return {"action": self.action, "pair": self.pair.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OutcomeData":
-        if not isinstance(data, dict):
-            raise InvalidRequestError("outcome must be a JSON object")
-        _no_extras("outcome", data, ("action", "pair"))
-        return cls(
-            action=_field("outcome", data, "action", (str,), "", required=True),
-            pair=PairData.from_json(
-                _field("outcome", data, "pair", (dict,), {}, required=True)
-            ),
-        )
+    _label = "outcome"
+    _required = ("action", "pair")
 
 
 # ---------------------------------------------------------------------------
@@ -188,63 +401,30 @@ class OutcomeData:
 
 
 @dataclass(frozen=True)
-class AnalyzeRequest:
+class AnalyzeRequest(_Wire):
     """Run the anomaly oracle on a program.
 
     Exactly one of ``source`` (DSL text) or ``benchmark`` (a corpus name
     such as ``"Courseware"``) selects the program.
     """
 
-    source: Optional[str] = None
-    benchmark: Optional[str] = None
-    level: str = "EC"
+    source: Optional[str] = _fragment(_NULLABLE_STR, default=None)
+    benchmark: Optional[str] = _fragment(_NULLABLE_STR, default=None)
+    level: Level = "EC"
     use_prefilter: bool = True
     distinct_args: bool = True
     deadline_ms: Optional[int] = None
-    budget: Optional[dict] = None
+    budget: Optional[dict] = _fragment(_BUDGET, default=None)
     tenant: Optional[str] = None
 
     kind = "analyze_request"
 
-    def to_json(self) -> dict:
-        out = {"version": SCHEMA_VERSION, "kind": self.kind, "level": self.level,
-               "use_prefilter": self.use_prefilter,
-               "distinct_args": self.distinct_args}
-        if self.source is not None:
-            out["source"] = self.source
-        if self.benchmark is not None:
-            out["benchmark"] = self.benchmark
-        if self.deadline_ms is not None:
-            out["deadline_ms"] = self.deadline_ms
-        if self.budget is not None:
-            out["budget"] = self.budget
-        if self.tenant is not None:
-            out["tenant"] = self.tenant
-        return out
-
-    @classmethod
-    def from_json(cls, data: object) -> "AnalyzeRequest":
-        body = _check_envelope(data, cls.kind)
-        _no_extras(cls.kind, body, ("source", "benchmark", "level",
-                                    "use_prefilter", "distinct_args",
-                                    "deadline_ms", "budget", "tenant"))
-        return cls(
-            source=_field(cls.kind, body, "source", (str,), None),
-            benchmark=_field(cls.kind, body, "benchmark", (str,), None),
-            level=_field(cls.kind, body, "level", (str,), "EC", enum=LEVELS),
-            use_prefilter=_field(cls.kind, body, "use_prefilter", (bool,), True),
-            distinct_args=_field(cls.kind, body, "distinct_args", (bool,), True),
-            deadline_ms=_field(cls.kind, body, "deadline_ms", (int,), None),
-            budget=_field(cls.kind, body, "budget", (dict,), None),
-            tenant=_field(cls.kind, body, "tenant", (str,), None),
-        )
-
 
 @dataclass(frozen=True)
-class AnalyzeResult:
+class AnalyzeResult(_Wire):
     """The oracle's verdict plus execution bookkeeping."""
 
-    level: str
+    level: Level
     pairs: Tuple[PairData, ...]
     pairs_checked: int
     sat_queries: int
@@ -254,6 +434,7 @@ class AnalyzeResult:
     elapsed_seconds: float
 
     kind = "analyze_result"
+    _required = ("level", "pairs")
 
     @classmethod
     def from_report(cls, report) -> "AnalyzeResult":
@@ -269,40 +450,6 @@ class AnalyzeResult:
             elapsed_seconds=report.elapsed_seconds,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "level": self.level,
-            "pairs": [p.to_json() for p in self.pairs],
-            "pairs_checked": self.pairs_checked,
-            "sat_queries": self.sat_queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "strategy": self.strategy,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "AnalyzeResult":
-        body = _check_envelope(data, cls.kind)
-        _no_extras(cls.kind, body, ("level", "pairs", "pairs_checked",
-                                    "sat_queries", "cache_hits",
-                                    "cache_misses", "strategy",
-                                    "elapsed_seconds"))
-        pairs = _field(cls.kind, body, "pairs", (list,), [], required=True)
-        return cls(
-            level=_field(cls.kind, body, "level", (str,), "", required=True),
-            pairs=tuple(PairData.from_json(p) for p in pairs),
-            pairs_checked=_field(cls.kind, body, "pairs_checked", (int,), 0),
-            sat_queries=_field(cls.kind, body, "sat_queries", (int,), 0),
-            cache_hits=_field(cls.kind, body, "cache_hits", (int,), 0),
-            cache_misses=_field(cls.kind, body, "cache_misses", (int,), 0),
-            strategy=_field(cls.kind, body, "strategy", (str,), ""),
-            elapsed_seconds=_field(cls.kind, body, "elapsed_seconds",
-                                   (int, float), 0.0),
-        )
-
 
 # ---------------------------------------------------------------------------
 # repair
@@ -310,7 +457,7 @@ class AnalyzeResult:
 
 
 @dataclass(frozen=True)
-class RepairRequest:
+class RepairRequest(_Wire):
     """Repair a program (or replay a saved plan on it).
 
     ``plan`` -- a serialized :class:`~repro.repair.plan.RewritePlan`
@@ -318,57 +465,21 @@ class RepairRequest:
     verbatim and no oracle work runs.
     """
 
-    source: Optional[str] = None
-    benchmark: Optional[str] = None
-    level: str = "EC"
-    search: str = "greedy"
+    source: Optional[str] = _fragment(_NULLABLE_STR, default=None)
+    benchmark: Optional[str] = _fragment(_NULLABLE_STR, default=None)
+    level: Level = "EC"
+    search: Search = "greedy"
     use_prefilter: bool = True
-    plan: Optional[dict] = None
+    plan: Optional[dict] = _fragment(_PLAN, default=None)
     deadline_ms: Optional[int] = None
-    budget: Optional[dict] = None
+    budget: Optional[dict] = _fragment(_BUDGET, default=None)
     tenant: Optional[str] = None
 
     kind = "repair_request"
 
-    def to_json(self) -> dict:
-        out = {"version": SCHEMA_VERSION, "kind": self.kind, "level": self.level,
-               "search": self.search, "use_prefilter": self.use_prefilter}
-        if self.source is not None:
-            out["source"] = self.source
-        if self.benchmark is not None:
-            out["benchmark"] = self.benchmark
-        if self.plan is not None:
-            out["plan"] = self.plan
-        if self.deadline_ms is not None:
-            out["deadline_ms"] = self.deadline_ms
-        if self.budget is not None:
-            out["budget"] = self.budget
-        if self.tenant is not None:
-            out["tenant"] = self.tenant
-        return out
-
-    @classmethod
-    def from_json(cls, data: object) -> "RepairRequest":
-        body = _check_envelope(data, cls.kind)
-        _no_extras(cls.kind, body, ("source", "benchmark", "level", "search",
-                                    "use_prefilter", "plan",
-                                    "deadline_ms", "budget", "tenant"))
-        return cls(
-            source=_field(cls.kind, body, "source", (str,), None),
-            benchmark=_field(cls.kind, body, "benchmark", (str,), None),
-            level=_field(cls.kind, body, "level", (str,), "EC", enum=LEVELS),
-            search=_field(cls.kind, body, "search", (str,), "greedy",
-                          enum=SEARCHES),
-            use_prefilter=_field(cls.kind, body, "use_prefilter", (bool,), True),
-            plan=_field(cls.kind, body, "plan", (dict,), None),
-            deadline_ms=_field(cls.kind, body, "deadline_ms", (int,), None),
-            budget=_field(cls.kind, body, "budget", (dict,), None),
-            tenant=_field(cls.kind, body, "tenant", (str,), None),
-        )
-
 
 @dataclass(frozen=True)
-class RepairResult:
+class RepairResult(_Wire):
     """A repair's full verdict.
 
     ``repaired_program`` and ``serializable_variant`` are printed DSL
@@ -381,7 +492,7 @@ class RepairResult:
     initial_pairs: Tuple[PairData, ...]
     residual_pairs: Tuple[PairData, ...]
     outcomes: Tuple[OutcomeData, ...]
-    plan: dict
+    plan: dict = _fragment(_PLAN)
     repaired_program: str
     serializable_variant: str
     tables_before: int
@@ -391,6 +502,7 @@ class RepairResult:
     elapsed_seconds: float
 
     kind = "repair_result"
+    _required = ("initial_pairs", "residual_pairs", "plan", "repaired_program")
 
     @classmethod
     def from_report(cls, report, strategy: str = "serial") -> "RepairResult":
@@ -423,54 +535,6 @@ class RepairResult:
     def repaired_count(self) -> int:
         return len(self.initial_pairs) - len(self.residual_pairs)
 
-    def to_json(self) -> dict:
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "initial_pairs": [p.to_json() for p in self.initial_pairs],
-            "residual_pairs": [p.to_json() for p in self.residual_pairs],
-            "outcomes": [o.to_json() for o in self.outcomes],
-            "plan": self.plan,
-            "repaired_program": self.repaired_program,
-            "serializable_variant": self.serializable_variant,
-            "tables_before": self.tables_before,
-            "tables_after": self.tables_after,
-            "search": self.search,
-            "strategy": self.strategy,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "RepairResult":
-        body = _check_envelope(data, cls.kind)
-        _no_extras(cls.kind, body, ("initial_pairs", "residual_pairs",
-                                    "outcomes", "plan", "repaired_program",
-                                    "serializable_variant", "tables_before",
-                                    "tables_after", "search", "strategy",
-                                    "elapsed_seconds"))
-
-        def pair_list(name):
-            value = _field(cls.kind, body, name, (list,), [], required=True)
-            return tuple(PairData.from_json(p) for p in value)
-
-        outcomes = _field(cls.kind, body, "outcomes", (list,), [])
-        return cls(
-            initial_pairs=pair_list("initial_pairs"),
-            residual_pairs=pair_list("residual_pairs"),
-            outcomes=tuple(OutcomeData.from_json(o) for o in outcomes),
-            plan=_field(cls.kind, body, "plan", (dict,), {}, required=True),
-            repaired_program=_field(cls.kind, body, "repaired_program", (str,),
-                                    "", required=True),
-            serializable_variant=_field(cls.kind, body, "serializable_variant",
-                                        (str,), ""),
-            tables_before=_field(cls.kind, body, "tables_before", (int,), 0),
-            tables_after=_field(cls.kind, body, "tables_after", (int,), 0),
-            search=_field(cls.kind, body, "search", (str,), ""),
-            strategy=_field(cls.kind, body, "strategy", (str,), ""),
-            elapsed_seconds=_field(cls.kind, body, "elapsed_seconds",
-                                   (int, float), 0.0),
-        )
-
 
 # ---------------------------------------------------------------------------
 # bench
@@ -478,39 +542,21 @@ class RepairResult:
 
 
 @dataclass(frozen=True)
-class BenchRequest:
+class BenchRequest(_Wire):
     """Measure the Table-1 workload (repair + CC/RR sweeps) per benchmark.
 
     ``benchmarks`` is a list of corpus names; empty means the full corpus.
     """
 
     benchmarks: Tuple[str, ...] = ()
-    search: str = "greedy"
+    search: Search = "greedy"
     tenant: Optional[str] = None
 
     kind = "bench_request"
 
-    def to_json(self) -> dict:
-        out = {"version": SCHEMA_VERSION, "kind": self.kind,
-               "benchmarks": list(self.benchmarks), "search": self.search}
-        if self.tenant is not None:
-            out["tenant"] = self.tenant
-        return out
-
-    @classmethod
-    def from_json(cls, data: object) -> "BenchRequest":
-        body = _check_envelope(data, cls.kind)
-        _no_extras(cls.kind, body, ("benchmarks", "search", "tenant"))
-        return cls(
-            benchmarks=_str_tuple(cls.kind, body, "benchmarks"),
-            search=_field(cls.kind, body, "search", (str,), "greedy",
-                          enum=SEARCHES),
-            tenant=_field(cls.kind, body, "tenant", (str,), None),
-        )
-
 
 @dataclass(frozen=True)
-class BenchRow:
+class BenchRow(_Wire):
     """One benchmark's Table-1 measurements."""
 
     name: str
@@ -524,52 +570,14 @@ class BenchRow:
     time_s: float
     repair_seconds: float
     plan_steps: int
-    plan: dict = field(default_factory=dict)
+    plan: dict = _fragment(_PLAN, default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "txns": self.txns,
-            "tables_before": self.tables_before,
-            "tables_after": self.tables_after,
-            "ec": self.ec,
-            "at": self.at,
-            "cc": self.cc,
-            "rr": self.rr,
-            "time_s": self.time_s,
-            "repair_seconds": self.repair_seconds,
-            "plan_steps": self.plan_steps,
-            "plan": self.plan,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BenchRow":
-        kind = "bench_row"
-        if not isinstance(data, dict):
-            raise InvalidRequestError(f"{kind} must be a JSON object")
-        _no_extras(kind, data, ("name", "txns", "tables_before",
-                                "tables_after", "ec", "at", "cc", "rr",
-                                "time_s", "repair_seconds", "plan_steps",
-                                "plan"))
-        return cls(
-            name=_field(kind, data, "name", (str,), "", required=True),
-            txns=_field(kind, data, "txns", (int,), 0),
-            tables_before=_field(kind, data, "tables_before", (int,), 0),
-            tables_after=_field(kind, data, "tables_after", (int,), 0),
-            ec=_field(kind, data, "ec", (int,), 0),
-            at=_field(kind, data, "at", (int,), 0),
-            cc=_field(kind, data, "cc", (int,), 0),
-            rr=_field(kind, data, "rr", (int,), 0),
-            time_s=_field(kind, data, "time_s", (int, float), 0.0),
-            repair_seconds=_field(kind, data, "repair_seconds",
-                                  (int, float), 0.0),
-            plan_steps=_field(kind, data, "plan_steps", (int,), 0),
-            plan=_field(kind, data, "plan", (dict,), {}),
-        )
+    _label = "bench_row"
+    _required = ("name", "ec", "at", "cc", "rr", "plan_steps")
 
 
 @dataclass(frozen=True)
-class BenchResult:
+class BenchResult(_Wire):
     """A bench sweep's rows plus the execution configuration used."""
 
     rows: Tuple[BenchRow, ...]
@@ -578,30 +586,7 @@ class BenchResult:
     elapsed_seconds: float
 
     kind = "bench_result"
-
-    def to_json(self) -> dict:
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "rows": [r.to_json() for r in self.rows],
-            "search": self.search,
-            "strategy": self.strategy,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "BenchResult":
-        body = _check_envelope(data, cls.kind)
-        _no_extras(cls.kind, body, ("rows", "search", "strategy",
-                                    "elapsed_seconds"))
-        rows = _field(cls.kind, body, "rows", (list,), [], required=True)
-        return cls(
-            rows=tuple(BenchRow.from_json(r) for r in rows),
-            search=_field(cls.kind, body, "search", (str,), ""),
-            strategy=_field(cls.kind, body, "strategy", (str,), ""),
-            elapsed_seconds=_field(cls.kind, body, "elapsed_seconds",
-                                   (int, float), 0.0),
-        )
+    _required = ("rows",)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +595,7 @@ class BenchResult:
 
 
 @dataclass(frozen=True)
-class LiveProtectRequest:
+class LiveProtectRequest(_Wire):
     """Compile a rewrite plan into live mutation rules and validate them.
 
     Live protection replays a corpus benchmark's transaction mix, so
@@ -623,7 +608,7 @@ class LiveProtectRequest:
     """
 
     benchmark: str
-    plan: Optional[dict] = None
+    plan: Optional[dict] = _fragment(_PLAN, default=None)
     samples: int = 120
     seed: int = 11
     scale: int = 2
@@ -632,53 +617,21 @@ class LiveProtectRequest:
     tenant: Optional[str] = None
 
     kind = "live_protect_request"
-
-    def to_json(self) -> dict:
-        out = {
-            "version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "benchmark": self.benchmark,
-            "samples": self.samples,
-            "seed": self.seed,
-            "scale": self.scale,
-            "measure": self.measure,
-            "clients": self.clients,
-        }
-        if self.plan is not None:
-            out["plan"] = self.plan
-        if self.tenant is not None:
-            out["tenant"] = self.tenant
-        return out
+    _required = ("benchmark",)
 
     @classmethod
     def from_json(cls, data: object) -> "LiveProtectRequest":
-        body = _check_envelope(data, cls.kind)
-        _no_extras(cls.kind, body, ("benchmark", "plan", "samples", "seed",
-                                    "scale", "measure", "clients", "tenant"))
-        samples = _field(cls.kind, body, "samples", (int,), 120)
-        scale = _field(cls.kind, body, "scale", (int,), 2)
-        clients = _field(cls.kind, body, "clients", (int,), 16)
-        if samples <= 0:
-            raise InvalidRequestError(f"{cls.kind}.samples must be positive")
-        if scale <= 0:
-            raise InvalidRequestError(f"{cls.kind}.scale must be positive")
-        if clients <= 0:
-            raise InvalidRequestError(f"{cls.kind}.clients must be positive")
-        return cls(
-            benchmark=_field(cls.kind, body, "benchmark", (str,), "",
-                             required=True),
-            plan=_field(cls.kind, body, "plan", (dict,), None),
-            samples=samples,
-            seed=_field(cls.kind, body, "seed", (int,), 11),
-            scale=scale,
-            measure=_field(cls.kind, body, "measure", (bool,), False),
-            clients=clients,
-            tenant=_field(cls.kind, body, "tenant", (str,), None),
-        )
+        """As for every wire type, plus the positivity the v1 schema
+        cannot express."""
+        request = super().from_json(data)
+        for name in ("samples", "scale", "clients"):
+            if getattr(request, name) <= 0:
+                raise InvalidRequestError(f"{cls.kind}.{name} must be positive")
+        return request
 
 
 @dataclass(frozen=True)
-class LiveProtectResult:
+class LiveProtectResult(_Wire):
     """A live-protection rollout report: rules, differential, overhead.
 
     ``anomalies`` holds the four seeded weak-exploration counts
@@ -693,94 +646,39 @@ class LiveProtectResult:
     rules: int
     identity_rules: int
     unsupported: int
-    unsupported_steps: Tuple[dict, ...]
+    unsupported_steps: Tuple[dict, ...] = _fragment(
+        {"type": "array", "items": _UNSUPPORTED_STEP}
+    )
     serial_match: bool
     verdict_match: bool
     passed: bool
     samples: int
     seed: int
     scale: int
-    anomalies: dict
-    rule_summary: Tuple[dict, ...]
-    overhead: Optional[dict] = None
+    anomalies: dict = _fragment(_ANOMALIES)
+    rule_summary: Tuple[dict, ...] = _fragment(
+        {"type": "array", "items": _RULE_ROW}
+    )
+    overhead: Optional[dict] = _fragment(_OVERHEAD, default=None)
     elapsed_seconds: float = 0.0
 
     kind = "live_protect_result"
+    _required = (
+        "benchmark", "rules", "serial_match", "verdict_match", "passed",
+        "anomalies",
+    )
 
-    def to_json(self) -> dict:
-        out = {
-            "version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "benchmark": self.benchmark,
-            "rules": self.rules,
-            "identity_rules": self.identity_rules,
-            "unsupported": self.unsupported,
-            "unsupported_steps": [dict(s) for s in self.unsupported_steps],
-            "serial_match": self.serial_match,
-            "verdict_match": self.verdict_match,
-            "passed": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-            "scale": self.scale,
-            "anomalies": self.anomalies,
-            "rule_summary": [dict(r) for r in self.rule_summary],
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-        if self.overhead is not None:
-            out["overhead"] = self.overhead
-        return out
 
-    @classmethod
-    def from_json(cls, data: object) -> "LiveProtectResult":
-        body = _check_envelope(data, cls.kind)
-        _no_extras(cls.kind, body, ("benchmark", "rules", "identity_rules",
-                                    "unsupported", "unsupported_steps",
-                                    "serial_match", "verdict_match", "passed",
-                                    "samples", "seed", "scale", "anomalies",
-                                    "rule_summary", "overhead",
-                                    "elapsed_seconds"))
-        unsupported_steps = _field(cls.kind, body, "unsupported_steps",
-                                   (list,), [])
-        rule_summary = _field(cls.kind, body, "rule_summary", (list,), [])
-        for name, value in (("unsupported_steps", unsupported_steps),
-                            ("rule_summary", rule_summary)):
-            if any(not isinstance(v, dict) for v in value):
-                raise InvalidRequestError(
-                    f"{cls.kind}.{name} must be a list of objects"
-                )
-        return cls(
-            benchmark=_field(cls.kind, body, "benchmark", (str,), "",
-                             required=True),
-            rules=_field(cls.kind, body, "rules", (int,), 0, required=True),
-            identity_rules=_field(cls.kind, body, "identity_rules", (int,), 0),
-            unsupported=_field(cls.kind, body, "unsupported", (int,), 0),
-            unsupported_steps=tuple(unsupported_steps),
-            serial_match=_field(cls.kind, body, "serial_match", (bool,), False,
-                                required=True),
-            verdict_match=_field(cls.kind, body, "verdict_match", (bool,),
-                                 False, required=True),
-            passed=_field(cls.kind, body, "passed", (bool,), False,
-                          required=True),
-            samples=_field(cls.kind, body, "samples", (int,), 0),
-            seed=_field(cls.kind, body, "seed", (int,), 0),
-            scale=_field(cls.kind, body, "scale", (int,), 0),
-            anomalies=_field(cls.kind, body, "anomalies", (dict,), {},
-                             required=True),
-            rule_summary=tuple(rule_summary),
-            overhead=_field(cls.kind, body, "overhead", (dict,), None),
-            elapsed_seconds=_field(cls.kind, body, "elapsed_seconds",
-                                   (int, float), 0.0),
-        )
-
+#: kind -> class of every enveloped document (the schema goldens).
+WIRE_KINDS: Dict[str, Type[_Wire]] = {
+    cls.kind: cls
+    for cls in (AnalyzeRequest, AnalyzeResult, RepairRequest, RepairResult, BenchRequest,
+                BenchResult, LiveProtectRequest, LiveProtectResult)
+}
 
 #: kind -> request class, for envelope-dispatched decoders (the service's
 #: job endpoint accepts any request kind).
-REQUEST_KINDS: Dict[str, Type] = {
-    AnalyzeRequest.kind: AnalyzeRequest,
-    RepairRequest.kind: RepairRequest,
-    BenchRequest.kind: BenchRequest,
-    LiveProtectRequest.kind: LiveProtectRequest,
-}
+REQUEST_KINDS = {k: cls for k, cls in WIRE_KINDS.items() if k.endswith("_request")}
 
 
 def decode_request(data: object):

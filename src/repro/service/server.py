@@ -67,6 +67,7 @@ from __future__ import annotations
 import json
 import shutil
 import signal
+import socket
 import tempfile
 import threading
 import time
@@ -613,6 +614,10 @@ class ReproHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer owning a :class:`ReproService`."""
 
     daemon_threads = True
+    # socketserver's default listen backlog is 5: a burst of a few more
+    # concurrent connects overflows it, the kernel drops the SYN, and
+    # that client waits for the ~1 s TCP retransmit.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address, service: ReproService, quiet: bool = True):
         self.service = service

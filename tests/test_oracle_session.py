@@ -108,9 +108,9 @@ class TestBatchedSweeps:
         for spec in specs:
             key = spec.cache_key[:3] + (True,)
             seq = [
-                seq_pool.solve(
-                    spec.c1, spec.c2, spec.summary_b, level, key=key
-                )
+                seq_pool.solve_batch(
+                    spec.c1, spec.c2, spec.summary_b, [level], key=key
+                )[0]
                 for level in levels
             ]
             batch = batch_pool.solve_batch(
@@ -133,22 +133,6 @@ class TestBatchedSweeps:
         assert seq_pool.counters()["queries"] == (
             batch_pool.counters()["queries"]
         )
-
-    def test_single_level_batch_equals_query(self):
-        summaries = summarize_program(BY_NAME["Courseware"].program())
-        specs = QueryPlanner().plan(summaries, EC, True).queries()
-        pool_a = OracleSession()
-        pool_b = OracleSession()
-        for spec in specs:
-            key = spec.cache_key[:3] + (True,)
-            one = pool_a.solve(
-                spec.c1, spec.c2, spec.summary_b, EC, key=key
-            )
-            (batched,) = pool_b.solve_batch(
-                spec.c1, spec.c2, spec.summary_b, [EC], key=key
-            )
-            assert one.witness == batched.witness
-            assert one.solved == batched.solved
 
     def test_query_batch_counts_and_prefilter(self):
         summaries = summarize_program(BY_NAME["Courseware"].program())
@@ -407,7 +391,7 @@ class TestPairSessionLifecycle:
             for c1, c2 in summary.ordered_pairs():
                 for other in summaries.values():
                     session = PairSession(c1, c2, other)
-                    witness, solved, _ = session.query(level)
+                    ((witness, solved, _),) = session.query_batch([level])
                     if solved and session._disjuncts:
                         return session, (c1, c2, other), witness
         raise AssertionError("corpus has no solvable pair")
@@ -416,26 +400,26 @@ class TestPairSessionLifecycle:
         session, _, _ = self._session()
         solver = session._encoder.builder.solver
         for level in (CC, RR, SC):
-            session.query(level)
+            session.query_batch([level])
         assert session._encoder.builder.solver is solver
         assert session.queries == 4
 
     def test_retire_axioms_rebuilds_fresh_group(self):
         session, _, _ = self._session()
-        session.query(RR)
+        session.query_batch([RR])
         groups_before = dict(session._groups)
         if not groups_before:
             pytest.skip("model shortcut answered RR without axiom groups")
         dropped = session.retire_axioms(RR)
         assert dropped == len(groups_before)
-        session.query(RR)
+        session.query_batch([RR])
         # A retired feature rebuilds in a fresh group.
         for flag, gid in session._groups.items():
             assert gid != groups_before.get(flag)
 
     def test_close_retires_groups(self):
         session, _, _ = self._session()
-        session.query(RR)
+        session.query_batch([RR])
         session.close()
         assert not session.warmed
 

@@ -151,10 +151,10 @@ class TestOracleIntegration:
 
     def test_levels_share_the_store(self, tmp_path, courseware):
         cache = PersistentQueryCache(str(tmp_path))
-        AnomalyOracle(EC, strategy="cached", cache=cache).analyze(courseware)
+        AnomalyOracle(EC, strategy="incremental", cache=cache).analyze(courseware)
         cache.close()
         warm = PersistentQueryCache(str(tmp_path))
-        report = AnomalyOracle(RR, strategy="cached", cache=warm).analyze(
+        report = AnomalyOracle(RR, strategy="incremental", cache=warm).analyze(
             courseware
         )
         # Every EC-UNSAT row serves the RR sweep straight from disk (the
@@ -167,10 +167,10 @@ class TestOracleIntegration:
         program = parse_program(self.SRC)
         cold = AnomalyOracle(EC).analyze(program)
         cache = PersistentQueryCache(str(tmp_path))
-        AnomalyOracle(EC, strategy="cached", cache=cache).analyze(program)
+        AnomalyOracle(EC, strategy="incremental", cache=cache).analyze(program)
         cache.close()
         warm = PersistentQueryCache(str(tmp_path))
-        report = AnomalyOracle(EC, strategy="cached", cache=warm).analyze(
+        report = AnomalyOracle(EC, strategy="incremental", cache=warm).analyze(
             program
         )
         assert canonical(report.pairs) == canonical(cold.pairs)
@@ -182,7 +182,7 @@ class TestInvalidation:
     def test_invalidate_is_indexed(self, courseware, tmp_path):
         """Invalidation must consult the inverted indexes, not scan."""
         cache = QueryCache()
-        AnomalyOracle(EC, strategy="cached", cache=cache).analyze(courseware)
+        AnomalyOracle(EC, strategy="incremental", cache=cache).analyze(courseware)
         populated = len(cache)
         assert populated > 0
         # The index maps exactly the stored entries.

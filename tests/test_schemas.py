@@ -8,10 +8,13 @@ import pytest
 from repro.api import (
     AnalyzeRequest,
     BenchRequest,
+    InvalidRequestError,
+    LiveProtectRequest,
     RepairRequest,
     SCHEMA_VERSION,
     Workspace,
 )
+from repro.api.types import WIRE_KINDS
 from repro.api.schema import (
     all_schemas,
     check_schemas,
@@ -152,3 +155,94 @@ class TestLiveDocumentsValidate:
         request = RepairRequest(benchmark="SIBench", plan=result.plan)
         ok, why = validate(request.to_json(), self.committed("repair_request"))
         assert ok, why
+
+
+def _other_type(value):
+    """A JSON value of another type than ``value``."""
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return "x"
+    if isinstance(value, str):
+        return 1
+    if isinstance(value, list):
+        return {}
+    return []
+
+
+def _mutations(obj):
+    """``(label, mutated copy)`` for each one-step change of one object."""
+    for key, value in obj.items():
+        yield f"drop {key}", {k: v for k, v in obj.items() if k != key}
+        yield f"{key}=null", {**obj, key: None}
+        other = _other_type(value)
+        yield f"{key}={other!r}", {**obj, key: other}
+        if key in ("level", "search"):
+            yield f"{key}='XX'", {**obj, key: "XX"}
+    yield "unknown key", {**obj, "bogus": 1}
+
+
+#: List fields whose items are wire objects; their first item is mutated too.
+WIRE_LISTS = ("pairs", "rows", "initial_pairs", "residual_pairs", "outcomes")
+
+
+@pytest.fixture(scope="module")
+def sibench_documents():
+    """One JSON document of every enveloped kind, on SIBench."""
+    with Workspace(strategy="serial") as ws:
+        objects = [
+            AnalyzeRequest(benchmark="SIBench"),
+            ws.analyze(AnalyzeRequest(benchmark="SIBench")),
+            RepairRequest(benchmark="SIBench"),
+            ws.repair(RepairRequest(benchmark="SIBench")),
+            BenchRequest(benchmarks=("SIBench",)),
+            ws.bench(BenchRequest(benchmarks=("SIBench",))),
+            LiveProtectRequest(benchmark="SIBench"),
+            ws.protect(LiveProtectRequest(
+                benchmark="SIBench", samples=20, measure=True, clients=4
+            )),
+        ]
+    return {o.kind: json.loads(json.dumps(o.to_json())) for o in objects}
+
+
+class TestDecoderAgreesWithSchema:
+    """``from_json`` and the committed v1 schema accept the same documents:
+    every one-step mutation of a real document is rejected by both or by
+    neither."""
+
+    @pytest.mark.parametrize("kind", sorted(WIRE_KINDS))
+    def test_mutations(self, kind, sibench_documents):
+        doc = sibench_documents[kind]
+        with open(os.path.join(SCHEMA_DIR, schema_filename(kind))) as fh:
+            golden = json.load(fh)
+        cases = list(_mutations(doc))
+        for name in WIRE_LISTS:
+            if doc.get(name):
+                first, *others = doc[name]
+                cases += [
+                    (f"{name}[0]: {label}", {**doc, name: [item, *others]})
+                    for label, item in _mutations(first)
+                ]
+        disagreements = []
+        for label, mutated in cases:
+            schema_ok, why = validate(mutated, golden)
+            try:
+                WIRE_KINDS[kind].from_json(mutated)
+                decoded = True
+            except InvalidRequestError:
+                decoded = False
+            if decoded != schema_ok:
+                disagreements.append(
+                    f"{label}: schema {'accepts' if schema_ok else why}, "
+                    f"decoder {'accepts' if decoded else 'rejects'}"
+                )
+        assert not disagreements, "\n".join(disagreements)
+
+    def test_null_program_selector_decodes_as_absent(self):
+        for cls in (AnalyzeRequest, RepairRequest):
+            doc = cls(benchmark="SIBench").to_json()
+            assert cls.from_json(dict(doc, source=None)) == cls(benchmark="SIBench")
+            doc = cls(source="schema T { key id; }").to_json()
+            assert cls.from_json(dict(doc, benchmark=None)) == cls(
+                source="schema T { key id; }"
+            )

@@ -3,6 +3,7 @@ schema validation of every response, error mapping."""
 
 import json
 import os
+import socket
 import threading
 import time
 import urllib.error
@@ -224,6 +225,31 @@ class TestErrorMapping:
         )
         assert status == 400
         assert payload["error"]["code"] == "parse-error"
+
+
+class TestListenBacklog:
+    def test_connect_burst_is_not_dropped(self):
+        """A burst of connects larger than socketserver's default backlog
+        of 5 must all land at once, not wait ~1 s for a SYN retransmit.
+        Nothing serves: every connection waits in the listen queue."""
+        srv = make_server(port=0)
+        connected = []
+        try:
+            for _ in range(16):
+                try:
+                    connected.append(
+                        socket.create_connection(srv.server_address[:2], timeout=0.3)
+                    )
+                except OSError:
+                    pass
+        finally:
+            for sock in connected:
+                sock.close()
+            # Not srv.close(): its shutdown() waits for a serve_forever
+            # loop that never ran.
+            srv.server_close()
+            srv.service.close()
+        assert len(connected) == 16
 
 
 class TestSharedWorkspace:
