@@ -103,13 +103,23 @@ from repro.service.admission import (
 from repro.service.store import DEFAULT_TENANT, JobStore
 from repro.service.workers import InlineRunner, WorkerPool
 
-#: How often the event stream polls the store for new rows.
+#: Longest an event stream waits for a change before it reads the
+#: store again.  A worker's write (an event, the final transition) and a
+#: cancel through this server wake the stream at once; this timeout is
+#: the fallback for a change that arrives without a wake-up, such as one
+#: made by a second process on the same ``--job-db``.  Workers signal
+#: through a semaphore because ``release()`` never blocks, even with a
+#: dead process among the waiters (see :mod:`repro.service.workers`).
 STREAM_POLL_INTERVAL = 0.05
 
 #: Idle seconds before an event stream emits a ``{"kind": "heartbeat"}``
 #: keep-alive line (documented in ``schemas/job_event.v1.json``), so
 #: proxies and client read-timeouts don't sever a quiet long stream.
 HEARTBEAT_INTERVAL = 15.0
+
+#: Seconds after which an event stream gives up on a job that has not
+#: ended and closes with ``job.end`` status ``timeout``.
+STREAM_TIMEOUT = 3600.0
 
 #: How often the server-side timer prunes finished jobs past the
 #: retention window (finished includes terminal ``cancelled``).
@@ -214,8 +224,19 @@ class ReproService:
         # so a restart loses zero accepted jobs.
         requeued, _ = self.store.recover(set())
         self.recovered_jobs = len(requeued)
+        # Event streams wait on this condition until the generation
+        # moves: the relay thread bumps it for every worker write it
+        # hears of on the runner's change semaphore, and cancels bump it
+        # directly.
+        self._changes = threading.Condition()
+        self._generation = 0
+        self._relay_thread = threading.Thread(
+            target=self._relay_changes, name="repro-change-relay",
+            daemon=True,
+        )
         if start_runner:
             self.runner.start()
+            self._relay_thread.start()
         self._started_runner = start_runner
         self._closed = False
         # Retention is a policy, not an accident of traffic: prune on a
@@ -234,6 +255,23 @@ class ReproService:
                 self.store.prune()
             except Exception:  # noqa: BLE001 - maintenance must not die
                 pass
+
+    def _relay_changes(self) -> None:
+        """Turn the runner's change semaphore into generation bumps.
+        A burst of releases coalesces into one bump."""
+        changed = self.runner.changed
+        while True:
+            changed.acquire()
+            while changed.acquire(False):
+                pass
+            if self._closed:
+                return
+            self._bump()
+
+    def _bump(self) -> None:
+        with self._changes:
+            self._generation += 1
+            self._changes.notify_all()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -254,6 +292,9 @@ class ReproService:
         self._prune_stop.set()
         if self._prune_thread.is_alive():
             self._prune_thread.join(timeout=5)
+        if self._relay_thread.is_alive():
+            self.runner.changed.release()  # wakes the relay to see _closed
+            self._relay_thread.join(timeout=5)
         if self._started_runner:
             if self.admission.draining:
                 self.runner.drain(timeout=5)
@@ -349,6 +390,7 @@ class ReproService:
         if len(route) == 3 and route[0] == "jobs" and route[2] == "cancel":
             self._require(method, "POST", path)
             status = self.store.request_cancel(route[1])
+            self._bump()  # a queued job is cancelled right here
             return 200, {"id": route[1], "status": status}
         if len(route) == 2 and route[0] == "jobs":
             self._require(method, "GET", path)
@@ -421,7 +463,9 @@ class ReproService:
                 f"{self.max_queue_depth}); retry later",
                 retry_after=self.admission.retry_after(2),
             )
-        return self.store.submit(request, tenant=tenant)
+        job = self.store.submit(request, tenant=tenant)
+        self.runner.work.release()  # the row is committed: wake a worker
+        return job
 
     # -- streaming ---------------------------------------------------------
 
@@ -432,25 +476,27 @@ class ReproService:
             return parts[2]
         return None
 
-    def open_event_stream(
-        self, job_id: str, poll: float = STREAM_POLL_INTERVAL,
-        timeout: float = 3600.0,
-        heartbeat: float = HEARTBEAT_INTERVAL,
-    ) -> Iterator[bytes]:
+    def open_event_stream(self, job_id: str) -> Iterator[bytes]:
         """NDJSON lines: every stored progress event as it lands, then a
         terminal ``job.end`` line once the job reaches a terminal status
         (``done``/``failed``/``cancelled``).  A stream idle for
-        ``heartbeat`` seconds emits ``{"kind": "heartbeat"}`` keep-alive
-        lines so intermediaries don't time the connection out.  Raises
+        :data:`HEARTBEAT_INTERVAL` seconds emits ``{"kind":
+        "heartbeat"}`` keep-alive lines so intermediaries don't time the
+        connection out.  Between reads of the store the stream sleeps
+        until the change generation moves (a worker wrote, a job was
+        cancelled), for at most :data:`STREAM_POLL_INTERVAL`.  Raises
         :class:`~repro.api.errors.JobNotFoundError` before the first
         byte, so the HTTP layer can still answer 404."""
         self.store.get(job_id)  # 404 now, not mid-stream
 
         def lines() -> Iterator[bytes]:
             after = 0
-            deadline = time.monotonic() + timeout
+            deadline = time.monotonic() + STREAM_TIMEOUT
             last_line = time.monotonic()
             while True:
+                # Read before the store: a change committed after this
+                # read moves the generation, so the wait below skips.
+                seen = self._generation
                 events, status = self.store.events_since(job_id, after)
                 for seq, event in events:
                     after = seq
@@ -465,10 +511,12 @@ class ReproService:
                     end = {"stage": "job.end", "detail": {"status": "timeout"}}
                     yield json.dumps(end, sort_keys=True).encode() + b"\n"
                     return
-                if now - last_line >= heartbeat:
+                if now - last_line >= HEARTBEAT_INTERVAL:
                     last_line = now
                     yield json.dumps({"kind": "heartbeat"}).encode() + b"\n"
-                time.sleep(poll)
+                with self._changes:
+                    if self._generation == seen:
+                        self._changes.wait(STREAM_POLL_INTERVAL)
 
         return lines()
 

@@ -716,8 +716,8 @@ class JobStore:
         )
 
     def events_since(self, job_id: str, after: int) -> Tuple[List[Tuple[int, dict]], str]:
-        """(new ``(seq, event)`` pairs, current status) -- the polling
-        primitive behind the ``/v1/jobs/<id>/events`` stream."""
+        """(new ``(seq, event)`` pairs, current status) -- what the
+        ``/v1/jobs/<id>/events`` stream reads on each wake-up."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT status FROM jobs WHERE id=?", (job_id,)
@@ -831,6 +831,10 @@ class JobStore:
         ``max_finished_per_tenant=None`` the per-tenant window equals
         the global one, so a single-tenant store prunes exactly as
         before tenancy.
+
+        Workers prune after every job, so the common case -- nothing past
+        either window -- is answered from counts over covering indexes
+        before the queries that read every finished row.
         """
         per_cap = (
             self.max_finished_per_tenant
@@ -839,6 +843,21 @@ class JobStore:
         )
         doomed = set()
         with self._lock:
+            finished = self._conn.execute(
+                "SELECT COUNT(*) FROM jobs"
+                " WHERE status IN ('done', 'failed', 'cancelled')"
+            ).fetchone()[0]
+            # No tenant can hold more finished rows than the store does.
+            if finished <= self.max_finished and (
+                finished <= per_cap
+                or self._conn.execute(
+                    "SELECT 1 FROM jobs INDEXED BY jobs_by_tenant_status"
+                    " WHERE status IN ('done', 'failed', 'cancelled')"
+                    " GROUP BY tenant HAVING COUNT(*) > ? LIMIT 1",
+                    (per_cap,),
+                ).fetchone() is None
+            ):
+                return 0
             for (tenant,) in self._conn.execute(
                 "SELECT DISTINCT tenant FROM jobs"
                 " WHERE status IN ('done', 'failed', 'cancelled')"

@@ -11,6 +11,18 @@ GIL-bound.  Workers consume from the shared
 request space keeps hitting the same warm solver state, and the steal
 fallback keeps skewed shards from idling anyone.
 
+Two semaphores make the job path event-driven.  The *work* semaphore
+is released once per job that becomes claimable (``submit_job``, and
+the pool monitor for each job ``recover()`` re-queues); an idle worker
+blocks on it, so an idle fleet starts a job at once.  The *change*
+semaphore is released by a worker after each store write an event
+stream waits for (a progress event, the final ``done``/``failed``/
+``cancelled`` transition, a release); the server relays it to its
+streams.  Both are semaphores, not events or conditions, because
+``release()`` never blocks: ``multiprocessing.Event.set()`` waits for
+every sleeper to acknowledge, so it hangs for good once a worker has
+been SIGKILLed inside ``wait()``.  No wake-up blocks on a dead process.
+
 Crash handling is the pool monitor's job: a dead worker's claimed jobs
 are re-enqueued through :meth:`~repro.service.store.JobStore.recover`
 and a replacement process is spawned, so a SIGKILL mid-job delays that
@@ -42,9 +54,15 @@ from repro.api.workspace import WorkspaceConfig
 from repro.faults import FaultInjected, failpoint
 from repro.service.store import DEFAULT_TENANT, Job, JobStore
 
-#: Idle delay between empty claim attempts.  Low enough that job pickup
-#: latency is invisible next to solver work, high enough that an idle
-#: fleet costs no measurable CPU.
+#: Longest an idle worker waits on the work semaphore before it claims
+#: again.  A job submitted through this server (or re-queued by the
+#: pool monitor) wakes a waiting worker at once; this timeout is the
+#: fallback for a job that arrives without a wake-up: one queued by a
+#: second process on the same ``--job-db``, or one whose wake-up went to
+#: a worker SIGKILLed just after taking it.  Jobs already queued at boot
+#: need none, since a worker claims before it first waits.  The wake-up
+#: is a semaphore because ``release()`` never blocks, even with a dead
+#: process among the waiters (see the module docstring).
 POLL_INTERVAL = 0.05
 
 #: Floor between cancel-flag polls in the progress hook.  Every progress
@@ -111,7 +129,7 @@ class TenantWorkspaces:
         self.base.close()
 
 
-def execute_job(workspace, store: JobStore, job: Job) -> None:
+def execute_job(workspace, store: JobStore, job: Job, changed) -> None:
     """Run one claimed job to completion against ``workspace``.
 
     Progress events stream into the store as they happen (the
@@ -125,6 +143,10 @@ def execute_job(workspace, store: JobStore, job: Job) -> None:
     flag and aborts the operation by raising out of the callback (the
     :mod:`repro.events` contract), landing the job terminal
     ``cancelled`` without killing the worker.
+
+    ``changed`` (the change semaphore) is released after every stored
+    event and after the final state transition, so event streams wake
+    on each write instead of polling for it.
     """
     last_poll = [0.0]
 
@@ -143,7 +165,8 @@ def execute_job(workspace, store: JobStore, job: Job) -> None:
         except (FaultInjected, sqlite3.Error):
             # The event log is best-effort narration -- an injected or
             # real write failure must not fail the job itself.
-            pass
+            return
+        changed.release()
 
     try:
         request = decode_request(job.request)
@@ -171,6 +194,8 @@ def execute_job(workspace, store: JobStore, job: Job) -> None:
         store.release(job.id)
     except Exception as exc:  # noqa: BLE001 - job boundary
         store.fail(job.id, error_payload(exc))
+    finally:
+        changed.release()
 
 
 def _drain_loop(
@@ -180,17 +205,27 @@ def _drain_loop(
     should_stop: Callable[[], bool],
     shard: Optional[int] = None,
     shards: Optional[int] = None,
-    poll_interval: float = POLL_INTERVAL,
     weights: Optional[Dict[str, float]] = None,
     max_running_per_tenant: Optional[int] = None,
     workspace_for: Optional[Callable[[str], object]] = None,
+    work=None,
+    changed=None,
 ) -> None:
     """Claim-execute until told to stop; shared by both runner kinds.
 
-    ``weights``/``max_running_per_tenant`` flow into the store's
-    deficit-weighted claim; ``workspace_for`` (when given) selects the
-    per-tenant workspace each claimed job runs against.
+    With nothing to claim the loop blocks on ``work`` (the work
+    semaphore, released once per new job) for at most
+    :data:`POLL_INTERVAL`, then claims again; a wake-up whose job a
+    busy worker already took costs one empty claim.  ``changed`` is
+    handed to :func:`execute_job`.  Either may be a ``threading`` or a
+    ``multiprocessing`` semaphore; left out, each is a private one, so
+    the loop just polls.  ``weights``/``max_running_per_tenant`` flow
+    into the store's deficit-weighted claim; ``workspace_for`` (when
+    given) selects the per-tenant workspace each claimed job runs
+    against.
     """
+    work = threading.Semaphore(0) if work is None else work
+    changed = threading.Semaphore(0) if changed is None else changed
     while not should_stop():
         try:
             job = store.claim(
@@ -207,14 +242,16 @@ def _drain_loop(
             # A claim that failed (injected, or a real lock pile-up
             # outliving the store's bounded retry) claimed nothing:
             # back off and try again rather than killing the runner.
-            time.sleep(poll_interval)
+            time.sleep(POLL_INTERVAL)
             continue
         if job is None:
-            time.sleep(poll_interval)
+            # Positional: the keyword is ``block`` on a multiprocessing
+            # semaphore and ``blocking`` on a threading one.
+            work.acquire(True, POLL_INTERVAL)
             continue
         target = workspace_for(job.tenant) if workspace_for else workspace
         try:
-            execute_job(target, store, job)
+            execute_job(target, store, job, changed)
             store.prune()
         except sqlite3.ProgrammingError:
             # Closed under us mid-job (a non-draining shutdown stops
@@ -241,7 +278,8 @@ def worker_main(
     job_db: str,
     config: WorkspaceConfig,
     stop_event,
-    poll_interval: float = POLL_INTERVAL,
+    work,
+    changed,
     tenant_weights: Optional[Dict[str, float]] = None,
     max_running_per_tenant: Optional[int] = None,
 ) -> None:
@@ -258,10 +296,10 @@ def worker_main(
             store, workspaces.base, owner,
             stop_event.is_set,
             shard=index, shards=shards,
-            poll_interval=poll_interval,
             weights=tenant_weights,
             max_running_per_tenant=max_running_per_tenant,
             workspace_for=workspaces.get,
+            work=work, changed=changed,
         )
     finally:
         # Graceful exit checkpoints the worker's persistent query caches
@@ -278,6 +316,8 @@ class WorkerPool:
     store.  The monitor thread restarts dead workers and re-enqueues
     whatever they had claimed; :meth:`drain` is the graceful path
     (finish in-flight, then exit), :meth:`stop` the immediate one.
+    ``work`` and ``changed`` are the pool's two wake-up semaphores,
+    shared with every worker process it spawns.
     """
 
     def __init__(
@@ -285,7 +325,6 @@ class WorkerPool:
         job_db: str,
         config: WorkspaceConfig,
         workers: int,
-        poll_interval: float = POLL_INTERVAL,
         tenant_weights: Optional[Dict[str, float]] = None,
         max_running_per_tenant: Optional[int] = None,
     ):
@@ -294,13 +333,14 @@ class WorkerPool:
         self.job_db = job_db
         self.config = config
         self.workers = workers
-        self.poll_interval = poll_interval
         self.tenant_weights = dict(tenant_weights or {})
         self.max_running_per_tenant = max_running_per_tenant
         self.restarts = 0
         self.breaker_trips = 0
         self._ctx = multiprocessing.get_context("spawn")
         self._stop_event = self._ctx.Event()
+        self.work = self._ctx.Semaphore(0)
+        self.changed = self._ctx.Semaphore(0)
         self._procs: List[Optional[multiprocessing.Process]] = [None] * workers
         # Per-slot circuit breaker: consecutive fast deaths trip it,
         # opening the slot (no respawn) for a cooldown; the shard-steal
@@ -333,7 +373,8 @@ class WorkerPool:
                 self.job_db,
                 self.config.for_worker(index),
                 self._stop_event,
-                self.poll_interval,
+                self.work,
+                self.changed,
                 self.tenant_weights,
                 self.max_running_per_tenant,
             ),
@@ -409,7 +450,11 @@ class WorkerPool:
                 # Recover *after* respawning: the replacement's owner id
                 # is live, the dead one is not, so exactly the orphaned
                 # claims go back to queued.
-                self._store.recover(self.active_owners())
+                requeued, _ = self._store.recover(self.active_owners())
+                for _ in requeued:
+                    self.work.release()
+                # Orphans may also have landed failed or cancelled.
+                self.changed.release()
 
     def drain(self, timeout: float = 60.0) -> bool:
         """Graceful stop: finish in-flight jobs, checkpoint caches, exit.
@@ -459,19 +504,21 @@ class WorkerPool:
 
 class InlineRunner:
     """The ``workers=0`` execution tier: one daemon thread, the server's
-    own workspace, the same durable store semantics."""
+    own workspace, the same durable store semantics, and the same two
+    wake-up semaphores (``threading`` ones: nothing leaves the
+    process)."""
 
     def __init__(
         self,
         store: JobStore,
         workspace,
-        poll_interval: float = POLL_INTERVAL,
         tenant_weights: Optional[Dict[str, float]] = None,
         max_running_per_tenant: Optional[int] = None,
     ):
         self.store = store
         self.workspace = workspace
-        self.poll_interval = poll_interval
+        self.work = threading.Semaphore(0)
+        self.changed = threading.Semaphore(0)
         self.tenant_weights = dict(tenant_weights or {})
         self.max_running_per_tenant = max_running_per_tenant
         self.owner = f"inline-{os.getpid()}"
@@ -491,9 +538,10 @@ class InlineRunner:
         # is also serving the sync endpoints).
         _drain_loop(
             self.store, self.workspace, self.owner,
-            self._stop.is_set, poll_interval=self.poll_interval,
+            self._stop.is_set,
             weights=self.tenant_weights,
             max_running_per_tenant=self.max_running_per_tenant,
+            work=self.work, changed=self.changed,
         )
 
     def active_owners(self) -> List[str]:
@@ -501,6 +549,7 @@ class InlineRunner:
 
     def drain(self, timeout: float = 60.0) -> bool:
         self._stop.set()
+        self.work.release()  # an idle loop sees the stop flag at once
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             return not self._thread.is_alive()
@@ -511,6 +560,7 @@ class InlineRunner:
         # tier means stop claiming and let the in-flight job finish in
         # the daemon thread (the process is usually exiting anyway).
         self._stop.set()
+        self.work.release()
 
     def counters(self) -> Dict[str, int]:
         alive = self._thread is not None and self._thread.is_alive()
